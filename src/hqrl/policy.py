@@ -7,9 +7,12 @@ the warm-start Hamiltonian scaled by gamma_l, and a mixer scaled by beta_l.
 Per-qubit <Z> readouts feed a linear head whose masked softmax is the action
 distribution.
 
+Everything after the data layer is compiled once per update into one 16x16
+map V(theta); a forward pass is the data layer's product state times V.
 Gradients for circuit angles come from the parameter-shift rule with one
-slot per gate; shared angles (gamma_l, beta_l, encoder outputs) are chained
-through the per-gate slots analytically.
+slot per gate, for a whole episode at once through the +/- pi/2 shifted
+maps; shared angles (gamma_l, beta_l, encoder outputs) are chained through
+the per-gate slots analytically.
 """
 
 from __future__ import annotations
@@ -18,7 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .sim import GateOp, ZZHamiltonian, all_z_expectations, basis_state, run_circuit, z_readout_gradients
+from .sim import (GateOp, ZZHamiltonian, circuit_map, parameter_shift_maps, ry_product_state,
+                  z_readouts)
 
 N_QUBITS = 4
 N_LAYERS = 2
@@ -121,12 +125,15 @@ def encode_observation(state_vec: np.ndarray, params: PolicyParams) -> np.ndarra
     return np.pi * np.tanh(params.encoder_w @ state_vec + params.encoder_b)
 
 
-_TEMPLATE_CACHE: dict[tuple, tuple[list[GateOp], list[tuple[str, tuple, float]]]] = {}
+_TEMPLATE_CACHE: dict[tuple, tuple[list[GateOp], list[tuple[str, tuple, float]], list[GateOp]]] = {}
 
 
 def _circuit_template(n_qubits: int, n_layers: int, h_policy: ZZHamiltonian):
-    """Static gate list and slot metadata for a circuit shape; values change
-    per state and per update, the structure never does."""
+    """Gate list with one parameter slot per gate, slot metadata, and the tail
+    after the data layer with its slots renumbered from 0.  Metadata rows are
+    (group, index, scale): the gate angle is scale * parameter[group][index],
+    which is what the chain rule needs.  Values change per state and per
+    update; the structure never does."""
     key = (n_qubits, n_layers, tuple(h_policy.terms))
     cached = _TEMPLATE_CACHE.get(key)
     if cached is not None:
@@ -150,28 +157,23 @@ def _circuit_template(n_qubits: int, n_layers: int, h_policy: ZZHamiltonian):
             add("RZZ", (i, j), "qaoa_angles", (l, 0), 2.0 * w)
         for q in range(n_qubits):
             add("RX", (q,), "qaoa_angles", (l, 1), 2.0)
-    _TEMPLATE_CACHE[key] = (circuit, spec)
-    return circuit, spec
+    tail = [GateOp(g.kind, g.targets, slot=g.slot - n_qubits) for g in circuit[n_qubits:]]
+    _TEMPLATE_CACHE[key] = (circuit, spec, tail)
+    return _TEMPLATE_CACHE[key]
 
 
-def build_policy_circuit(data_angles: np.ndarray, params: PolicyParams,
-                         h_policy: ZZHamiltonian):
-    """Gate list with one parameter slot per gate, plus slot metadata.
+def _tail_angles(params: PolicyParams, h_policy: ZZHamiltonian) -> np.ndarray:
+    """Gate angles of the slots after the data layer, in slot order."""
+    _, spec, _ = _circuit_template(params.n_qubits, params.n_layers, h_policy)
+    return np.array([scale * getattr(params, group)[index]
+                     for group, index, scale in spec[params.n_qubits:]])
 
-    Slot metadata rows are (group, index, scale): the gate angle equals
-    scale * parameter[group][index], which is what the chain rule needs.
-    """
-    q_count, layers = params.n_qubits, params.n_layers
-    circuit, spec = _circuit_template(q_count, layers, h_policy)
-    weights = np.array([w for _, _, w in h_policy.terms])
-    blocks = [np.asarray(data_angles, dtype=float)]
-    for l in range(layers):
-        gamma, beta = params.qaoa_angles[l]
-        blocks.append(params.rotation_angles[l, :, 0])
-        blocks.append(params.rotation_angles[l, :, 1])
-        blocks.append(2.0 * gamma * weights)
-        blocks.append(np.full(q_count, 2.0 * beta))
-    return circuit, np.concatenate(blocks), spec
+
+def compile_policy(params: PolicyParams, h_policy: ZZHamiltonian) -> np.ndarray:
+    """V(theta): every gate after the data layer as one matrix on row states
+    (see sim.circuit_map).  Valid until the parameters next change."""
+    _, _, tail = _circuit_template(params.n_qubits, params.n_layers, h_policy)
+    return circuit_map(tail, _tail_angles(params, h_policy), params.n_qubits)
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -186,23 +188,19 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _forward_parts(state_vec: np.ndarray, params: PolicyParams, h_policy: ZZHamiltonian,
-                   mask: np.ndarray):
-    pre = params.encoder_w @ state_vec + params.encoder_b
-    data_angles = np.pi * np.tanh(pre)
-    circuit, values, spec = build_policy_circuit(data_angles, params, h_policy)
-    state = run_circuit(basis_state(params.n_qubits), circuit, values)
-    z = all_z_expectations(state)
+def compiled_forward(state_vec: np.ndarray, params: PolicyParams, tail: np.ndarray,
+                     mask: np.ndarray) -> ActionDistribution:
+    """policy_forward with V(theta) already compiled by compile_policy."""
+    z = z_readouts(ry_product_state(encode_observation(state_vec, params)) @ tail)
     logits = params.head_w @ z + params.head_b
     probs = masked_softmax(logits, mask)
-    dist = ActionDistribution(probs, logits, np.asarray(mask, dtype=bool))
-    return dist, z, circuit, values, spec, pre
+    return ActionDistribution(probs, logits, np.asarray(mask, dtype=bool))
 
 
 def policy_forward(state_vec: np.ndarray, params: PolicyParams, h_policy: ZZHamiltonian,
                    mask: np.ndarray) -> ActionDistribution:
     """Action distribution for one observation; masked cities get probability 0."""
-    return _forward_parts(state_vec, params, h_policy, mask)[0]
+    return compiled_forward(state_vec, params, compile_policy(params, h_policy), mask)
 
 
 def sample_action(dist: ActionDistribution, rng: np.random.Generator,
@@ -238,6 +236,19 @@ def _zero_value_grads(vparams: ValueParams) -> dict[str, np.ndarray]:
             "w2": np.zeros_like(vparams.w2), "b2": np.zeros_like(vparams.b2)}
 
 
+def _readout_gradients(data_angles: np.ndarray, tail: np.ndarray,
+                       shifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Readouts (T, Q) for T rows of data angles, and their parameter-shift
+    gradients (P, T, Q) for every slot in slot order: a data slot shifts the
+    product state, a tail slot swaps V for its shifted map."""
+    n_qubits = data_angles.shape[-1]
+    states = ry_product_state(data_angles)
+    bumps = np.kron(np.eye(n_qubits), [[1.0], [-1.0]]) * (np.pi / 2.0)  # rows +e_q, -e_q
+    data_shifted = ry_product_state(data_angles[None] + bumps[:, None, :])
+    shifted_z = np.concatenate([z_readouts(data_shifted @ tail), z_readouts(states @ shifted)])
+    return z_readouts(states @ tail), 0.5 * (shifted_z[0::2] - shifted_z[1::2])
+
+
 def reinforce_gradients(trajectory, params: PolicyParams, vparams: ValueParams,
                         h_policy: ZZHamiltonian, value_baseline: bool = True):
     """Loss gradients for one episode.
@@ -245,66 +256,55 @@ def reinforce_gradients(trajectory, params: PolicyParams, vparams: ValueParams,
     Policy loss is -sum_t log pi(a_t|s_t) * A_t with A_t = G_t - V(s_t), the
     baseline treated as constant; value loss is mean squared (V - G_t).
     Returns (policy_grads, value_grads, policy_loss, value_loss) with grads
-    keyed like the parameter fields.
+    keyed like the parameter fields.  All steps of the episode go through the
+    circuit maps, compiled once, in one batched product.
     """
     states = np.asarray(trajectory.states, dtype=float)
     actions = np.asarray(trajectory.actions, dtype=int)
     targets = np.asarray(trajectory.normalized_returns, dtype=float)
     t_len = actions.shape[0]
-    n_actions = params.n_actions
+    steps = np.arange(t_len)
+    masks = states[:, -params.n_actions:] == 0.0
+
+    if value_baseline:
+        hidden = np.tanh(states @ vparams.w1.T + vparams.b1)
+        err = hidden @ vparams.w2 + vparams.b2 - targets
+        scale = 2.0 * err / t_len
+        back = scale[:, None] * vparams.w2 * (1.0 - hidden**2)
+        vg = {"w1": back.T @ states, "b1": back.sum(axis=0), "w2": scale @ hidden,
+              "b2": np.array(scale.sum())}
+        value_loss = float(err @ err) / t_len
+        advantage = -err
+    else:
+        vg = _zero_value_grads(vparams)
+        value_loss = 0.0
+        advantage = targets
+
+    _, spec, tail_circuit = _circuit_template(params.n_qubits, params.n_layers, h_policy)
+    tail, shifted = parameter_shift_maps(tail_circuit, _tail_angles(params, h_policy),
+                                         params.n_qubits)
+    pre = states @ params.encoder_w.T + params.encoder_b
+    z, dz_dslot = _readout_gradients(np.pi * np.tanh(pre), tail, shifted)
+    logits = z @ params.head_w.T + params.head_b
+    probs = np.array([masked_softmax(row, mask) for row, mask in zip(logits, masks)])
+    policy_loss = -np.sum(np.log(probs[steps, actions]) * advantage)
+
+    d_logits = probs.copy()  # d(policy_loss)/d(logits)
+    d_logits[steps, actions] -= 1.0
+    d_logits[~masks] = 0.0
+    d_logits *= advantage[:, None]
 
     pg = _zero_policy_grads(params)
-    vg = _zero_value_grads(vparams)
-    policy_loss = 0.0
-    value_loss = 0.0
+    pg["head_w"] = d_logits.T @ z
+    pg["head_b"] = d_logits.sum(axis=0)
+    d_slots = np.einsum("ptq,tq->pt", dz_dslot, d_logits @ params.head_w)
 
-    for t in range(t_len):
-        s = states[t]
-        a = int(actions[t])
-        mask = s[-n_actions:] == 0.0
-
-        if value_baseline:
-            hidden = np.tanh(vparams.w1 @ s + vparams.b1)
-            v = float(vparams.w2 @ hidden + vparams.b2)
-            err = v - targets[t]
-            value_loss += err * err
-            scale = 2.0 * err / t_len
-            vg["w2"] += scale * hidden
-            vg["b2"] += scale
-            back = scale * vparams.w2 * (1.0 - hidden**2)
-            vg["w1"] += np.outer(back, s)
-            vg["b1"] += back
-            advantage = targets[t] - v
-        else:
-            advantage = targets[t]
-
-        dist, z, circuit, values, spec, pre = _forward_parts(s, params, h_policy, mask)
-        policy_loss += -np.log(dist.probabilities[a]) * advantage
-
-        d_logits = -dist.probabilities.copy()
-        d_logits[a] += 1.0
-        d_logits[~mask] = 0.0
-        d_logits *= -advantage  # d(policy_loss)/d(logits)
-
-        pg["head_w"] += np.outer(d_logits, z)
-        pg["head_b"] += d_logits
-        d_z = params.head_w.T @ d_logits
-
-        dz_dtheta = z_readout_gradients(circuit, values, params.n_qubits)
-        d_slots = dz_dtheta @ d_z
-
-        d_data = np.zeros(params.n_qubits)
-        for k, (group, index, gate_scale) in enumerate(spec):
-            if group == "data":
-                d_data[index[0]] += d_slots[k] * gate_scale
-            else:
-                pg[group][index] += d_slots[k] * gate_scale
-
-        d_pre = d_data * np.pi * (1.0 - np.tanh(pre) ** 2)
-        pg["encoder_w"] += np.outer(d_pre, s)
-        pg["encoder_b"] += d_pre
-
-    value_loss /= t_len
+    n_data = params.n_qubits  # data slot q loads qubit q with gate scale 1
+    for k, (group, index, gate_scale) in enumerate(spec[n_data:], start=n_data):
+        pg[group][index] += d_slots[k].sum() * gate_scale
+    d_pre = d_slots[:n_data].T * np.pi * (1.0 - np.tanh(pre) ** 2)
+    pg["encoder_w"] = d_pre.T @ states
+    pg["encoder_b"] = d_pre.sum(axis=0)
     return pg, vg, float(policy_loss), float(value_loss)
 
 
@@ -358,6 +358,6 @@ def apply_update(params: PolicyParams, vparams: ValueParams,
 
 
 def policy_circuit_for_size(params: PolicyParams, h_policy: ZZHamiltonian):
-    """The full circuit at zero data angles, for resource accounting."""
-    circuit, values, _ = build_policy_circuit(np.zeros(params.n_qubits), params, h_policy)
-    return circuit, values
+    """The full circuit and its slot values at zero data angles."""
+    circuit, _, _ = _circuit_template(params.n_qubits, params.n_layers, h_policy)
+    return circuit, np.concatenate([np.zeros(params.n_qubits), _tail_angles(params, h_policy)])

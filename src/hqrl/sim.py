@@ -91,24 +91,20 @@ def _check_normalized(amps: np.ndarray) -> None:
         raise ValueError(f"state is not normalized (|psi|^2 = {norm})")
 
 
+@lru_cache(maxsize=64)
 def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
+    # Cached because a mixer layer applies one angle to every qubit.
     c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
     if kind == "RX":
-        return np.array([[c, -1j * s], [-1j * s, c]])
-    if kind == "RY":
-        return np.array([[c, -s], [s, c]])
-    if kind == "RZ":
-        return np.array([[np.exp(-0.5j * angle), 0], [0, np.exp(0.5j * angle)]])
-    raise ValueError(f"unsupported rotation kind {kind!r}")
-
-
-def _apply_1q(amps: np.ndarray, mat: np.ndarray, q: int, n: int) -> None:
-    # In-place: expose bit q as its own axis (stride 2^q) and mix the halves.
-    view = amps.reshape(-1, 2, 2**q)
-    a0 = view[:, 0, :].copy()
-    a1 = view[:, 1, :]
-    view[:, 0, :] = mat[0, 0] * a0 + mat[0, 1] * a1
-    view[:, 1, :] = mat[1, 0] * a0 + mat[1, 1] * a1
+        mat = np.array([[c, -1j * s], [-1j * s, c]])
+    elif kind == "RY":
+        mat = np.array([[c, -s], [s, c]])
+    elif kind == "RZ":
+        mat = np.array([[np.exp(-0.5j * angle), 0], [0, np.exp(0.5j * angle)]])
+    else:
+        raise ValueError(f"unsupported rotation kind {kind!r}")
+    mat.setflags(write=False)
+    return mat
 
 
 @lru_cache(maxsize=256)
@@ -119,28 +115,26 @@ def _pair_parity(n: int, i: int, j: int) -> np.ndarray:
     return parity
 
 
-def _apply_rzz(amps: np.ndarray, angle: float, i: int, j: int, n: int) -> None:
-    parity = _pair_parity(n, i, j)
-    phase_same = np.exp(-0.5j * angle)
-    amps *= np.where(parity, np.conj(phase_same), phase_same)
-
-
-def _apply_cnot(amps: np.ndarray, control: int, target: int, n: int) -> None:
-    idx = np.arange(2**n)
-    sel = (idx >> control) & 1 == 1
-    flipped = idx[sel] ^ (1 << target)
-    amps[idx[sel]], amps[flipped] = amps[flipped].copy(), amps[idx[sel]].copy()
-
-
-def _apply_kind(amps: np.ndarray, kind: str, targets: tuple[int, ...], angle: float | None, n: int) -> None:
-    if kind in ("RX", "RY", "RZ"):
-        _apply_1q(amps, _rotation_matrix(kind, angle), targets[0], n)
-    elif kind == "H":
-        _apply_1q(amps, _H, targets[0], n)
+def _apply(amps: np.ndarray, kind: str, targets: tuple[int, ...], angle: float | None, n: int) -> None:
+    """Apply one gate in place along the last axis of a C-contiguous (..., 2**n)
+    array: the one kernel for single states, batches and stacks of maps."""
+    if kind in ("RX", "RY", "RZ", "H"):
+        mat = _H if kind == "H" else _rotation_matrix(kind, angle)
+        # Expose bit q as its own axis (stride 2^q) and mix the halves; any
+        # leading axes fold into the first one.
+        view = amps.reshape(-1, 2, 2**targets[0])
+        a0 = view[:, 0, :].copy()
+        a1 = view[:, 1, :]
+        view[:, 0, :] = mat[0, 0] * a0 + mat[0, 1] * a1
+        view[:, 1, :] = mat[1, 0] * a0 + mat[1, 1] * a1
     elif kind == "RZZ":
-        _apply_rzz(amps, angle, targets[0], targets[1], n)
+        phase_same = np.exp(-0.5j * angle)
+        amps *= np.where(_pair_parity(n, targets[0], targets[1]), np.conj(phase_same), phase_same)
     elif kind == "CNOT":
-        _apply_cnot(amps, targets[0], targets[1], n)
+        idx = np.arange(2**n)
+        sel = idx[(idx >> targets[0]) & 1 == 1]
+        flipped = sel ^ (1 << targets[1])
+        amps[..., sel], amps[..., flipped] = amps[..., flipped], amps[..., sel]
     else:
         raise ValueError(f"unsupported gate kind {kind!r}")
 
@@ -170,7 +164,7 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
         raise ValueError("gate has an unbound parameter slot; use run_circuit with params")
     _check_normalized(state.amplitudes)
     amps = state.amplitudes.copy()
-    _apply_kind(amps, gate.kind, gate.targets, gate.angle, state.n_qubits)
+    _apply(amps, gate.kind, gate.targets, gate.angle, state.n_qubits)
     return StateVector(state.n_qubits, amps)
 
 
@@ -181,13 +175,14 @@ def run_circuit(state: StateVector, circuit: Sequence[GateOp], params: np.ndarra
     amps = state.amplitudes.copy()
     for gate in circuit:
         _check_gate(gate, n)
-        angle = gate.angle
-        if gate.slot is not None:
-            if params is None:
-                raise ValueError("circuit has parameter slots but no params were given")
-            angle = float(params[gate.slot])
-        _apply_kind(amps, gate.kind, gate.targets, angle, n)
+        if gate.slot is not None and params is None:
+            raise ValueError("circuit has parameter slots but no params were given")
+        _apply(amps, gate.kind, gate.targets, _angle(gate, params), n)
     return StateVector(n, amps)
+
+
+def _angle(gate: GateOp, params: np.ndarray | None) -> float | None:
+    return float(params[gate.slot]) if gate.slot is not None else gate.angle
 
 
 def apply_cost_layer(state: StateVector, hamiltonian: ZZHamiltonian, gamma: float) -> StateVector:
@@ -196,16 +191,15 @@ def apply_cost_layer(state: StateVector, hamiltonian: ZZHamiltonian, gamma: floa
         raise ValueError("hamiltonian width does not match the state")
     amps = state.amplitudes.copy()
     for i, j, w in hamiltonian.terms:
-        _apply_rzz(amps, 2.0 * gamma * w, i, j, state.n_qubits)
+        _apply(amps, "RZZ", (i, j), 2.0 * gamma * w, state.n_qubits)
     return StateVector(state.n_qubits, amps)
 
 
 def apply_mixer_layer(state: StateVector, beta: float) -> StateVector:
     """exp(-i beta H_B) for H_B = sum X_q, i.e. RX(2*beta) on every qubit."""
     amps = state.amplitudes.copy()
-    mat = _rotation_matrix("RX", 2.0 * beta)
     for q in range(state.n_qubits):
-        _apply_1q(amps, mat, q, state.n_qubits)
+        _apply(amps, "RX", (q,), 2.0 * beta, state.n_qubits)
     return StateVector(state.n_qubits, amps)
 
 
@@ -246,7 +240,12 @@ def expectation_zz(state: StateVector, hamiltonian: ZZHamiltonian, shots: int | 
 
 def all_z_expectations(state: StateVector) -> np.ndarray:
     """<Z_q> for every qubit, analytic."""
-    return state.probabilities() @ _z_sign_matrix(state.n_qubits)
+    return z_readouts(state.amplitudes)
+
+
+def z_readouts(amps: np.ndarray) -> np.ndarray:
+    """<Z_q> for every qubit of every state in a (..., 2**n) array: shape (..., n)."""
+    return (np.abs(amps) ** 2) @ _z_sign_matrix(int(amps.shape[-1]).bit_length() - 1)
 
 
 def _measure_probs(state: StateVector, shots: int | None, rng: np.random.Generator | None) -> np.ndarray:
@@ -263,68 +262,74 @@ def _measure_probs(state: StateVector, shots: int | None, rng: np.random.Generat
 
 def _validate_slots(circuit: Sequence[GateOp], params: np.ndarray) -> None:
     slots = [g.slot for g in circuit if g.slot is not None]
-    if not slots:
-        raise ValueError("circuit has no parameter slots")
     if sorted(slots) != list(range(len(slots))):
         raise ValueError("parameter slots must be 0..P-1, each used exactly once")
     if len(params) != len(slots):
         raise ValueError(f"expected {len(slots)} params, got {len(params)}")
 
 
-def _apply_1q_batch(batch: np.ndarray, mat: np.ndarray, q: int) -> None:
-    view = batch.reshape(batch.shape[0], -1, 2, 2**q)
-    a0 = view[:, :, 0, :].copy()
-    a1 = view[:, :, 1, :]
-    view[:, :, 0, :] = mat[0, 0] * a0 + mat[0, 1] * a1
-    view[:, :, 1, :] = mat[1, 0] * a0 + mat[1, 1] * a1
+def ry_product_state(angles: np.ndarray) -> np.ndarray:
+    """RY(angles[q]) on each qubit q of |0...0>, as real (..., 2**n) amplitudes:
+    amplitude b is the product over q of sin(a_q/2) if bit q of b is set,
+    else cos(a_q/2)."""
+    half = 0.5 * np.asarray(angles, dtype=float)
+    bit_set = _z_sign_matrix(half.shape[-1]) < 0.0  # (2**n, n): bit q of each index
+    return np.prod(np.where(bit_set, np.sin(half)[..., None, :], np.cos(half)[..., None, :]),
+                   axis=-1)
 
 
-def _apply_kind_batch(batch: np.ndarray, kind: str, targets: tuple[int, ...],
-                      angle: float | None, n: int) -> None:
-    if kind in ("RX", "RY", "RZ"):
-        _apply_1q_batch(batch, _rotation_matrix(kind, angle), targets[0])
-    elif kind == "H":
-        _apply_1q_batch(batch, _H, targets[0])
-    elif kind == "RZZ":
-        parity = _pair_parity(n, targets[0], targets[1])
-        phase_same = np.exp(-0.5j * angle)
-        batch *= np.where(parity, np.conj(phase_same), phase_same)
-    elif kind == "CNOT":
-        idx = np.arange(2**n)
-        sel = idx[(idx >> targets[0]) & 1 == 1]
-        flipped = sel ^ (1 << targets[1])
-        batch[:, sel], batch[:, flipped] = batch[:, flipped].copy(), batch[:, sel].copy()
-    else:
-        raise ValueError(f"unsupported gate kind {kind!r}")
-
-
-def _shifted_final_states(circuit: Sequence[GateOp], params: np.ndarray,
-                          n_qubits: int) -> tuple[np.ndarray, list[int]]:
-    """Final states of every +/- pi/2 shifted circuit, advanced as one batch.
-
-    Rows 2i and 2i+1 hold the +/- shift of the i-th parameterized gate in
-    circuit order; the returned list maps i to that gate's slot index.
-    """
-    dim = 2**n_qubits
-    n_slots = sum(1 for g in circuit if g.slot is not None)
-    batch = np.empty((2 * n_slots, dim), dtype=np.complex128)
-    fill = 0
-    slot_order: list[int] = []
-
-    prefix = np.zeros(dim, dtype=np.complex128)
-    prefix[0] = 1.0
+def circuit_map(circuit: Sequence[GateOp], params: np.ndarray, n_qubits: int) -> np.ndarray:
+    """The circuit as one matrix M on row states: states psi of shape
+    (..., 2**n) evolve to psi @ M, so row j of M is basis state j evolved."""
+    m = np.eye(2**n_qubits, dtype=np.complex128)
     for gate in circuit:
-        angle = float(params[gate.slot]) if gate.slot is not None else gate.angle
-        if fill:
-            _apply_kind_batch(batch[:fill], gate.kind, gate.targets, angle, n_qubits)
+        _apply(m, gate.kind, gate.targets, _angle(gate, params), n_qubits)
+    return m
+
+
+def parameter_shift_maps(circuit: Sequence[GateOp], params: np.ndarray,
+                         n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """The circuit map M and shifted maps (2P, 2**n, 2**n): rows 2k and 2k+1
+    are M with slot k's angle moved by +pi/2 and -pi/2.
+
+    A rotation by angle +/- pi/2 is the rotation by angle, then a fixed kick
+    by +/- pi/2.  With prefix_i the map of gates 0..i, gate i's shifted map
+    is prefix_i @ kick @ prefix_i^dagger @ M, as every map is unitary.
+    """
+    _validate_slots(circuit, params)
+    current = np.eye(2**n_qubits, dtype=np.complex128)
+    heads = np.empty((2 * len(params),) + current.shape, dtype=np.complex128)
+    kicks = np.empty_like(heads)
+    for gate in circuit:
+        _apply(current, gate.kind, gate.targets, _angle(gate, params), n_qubits)
         if gate.slot is not None:
-            for delta in (np.pi / 2.0, -np.pi / 2.0):
-                batch[fill] = prefix
-                _apply_kind(batch[fill], gate.kind, gate.targets, angle + delta, n_qubits)
-                fill += 1
-            slot_order.append(gate.slot)
-        _apply_kind(prefix, gate.kind, gate.targets, angle, n_qubits)
-    return batch, slot_order
+            for row, delta in ((2 * gate.slot, np.pi / 2.0), (2 * gate.slot + 1, -np.pi / 2.0)):
+                heads[row] = current
+                kicks[row] = _gate_map(gate.kind, gate.targets, delta, n_qubits)
+    suffix = np.ascontiguousarray(np.conj(np.swapaxes(heads, 1, 2))) @ current
+    return current, heads @ kicks @ suffix
+
+
+@lru_cache(maxsize=1024)
+def _gate_map(kind: str, targets: tuple[int, ...], angle: float, n_qubits: int) -> np.ndarray:
+    """Read-only map of one gate at a fixed angle (see circuit_map)."""
+    m = circuit_map([GateOp(kind, targets, angle)], None, n_qubits)
+    m.setflags(write=False)
+    return m
+
+
+def _shift_rule(circuit: Sequence[GateOp], params: np.ndarray, n_qubits: int,
+                readout) -> np.ndarray:
+    """[f(theta_k + pi/2) - f(theta_k - pi/2)] / 2 per slot k, with f the readout
+    of the final state: each shifted circuit is run from |0...0> on its own."""
+    if len(params) == 0:
+        raise ValueError("circuit has no parameter slots")
+
+    def f(k: int, delta: float):
+        bumped = np.array(params, dtype=float)
+        bumped[k] += delta
+        return readout(run_circuit(basis_state(n_qubits), circuit, bumped))
+    return np.array([0.5 * (f(k, np.pi / 2.0) - f(k, -np.pi / 2.0)) for k in range(len(params))])
 
 
 def parameter_shift_gradient(circuit: Sequence[GateOp], params: np.ndarray, observable) -> np.ndarray:
@@ -333,41 +338,24 @@ def parameter_shift_gradient(circuit: Sequence[GateOp], params: np.ndarray, obse
     Component k is [f(theta_k + pi/2) - f(theta_k - pi/2)] / 2, with f the
     expectation after running the circuit from |0...0>.  Exact here because
     every parametric gate's generator squares to the identity and each slot
-    feeds exactly one gate.
+    feeds exactly one gate.  The reference the compiled maps are tested against.
     """
     _validate_slots(circuit, params)
     n = max(q for g in circuit for q in g.targets) + 1
     if isinstance(observable, ZZHamiltonian):
-        n = max(n, observable.n_qubits)
-    elif isinstance(observable, (int, np.integer)):
-        n = max(n, int(observable) + 1)
-
-    if isinstance(observable, ZZHamiltonian):
-        weight_signs = np.zeros(2**n)
-        for i, j, w in observable.terms:
-            weight_signs += w * (1.0 - 2.0 * _pair_parity(n, i, j))
-    elif isinstance(observable, (int, np.integer)):
-        weight_signs = _z_sign_matrix(n)[:, int(observable)].copy()
-    else:
-        raise ValueError(f"unsupported observable {observable!r}")
-
-    batch, slot_order = _shifted_final_states(circuit, params, n)
-    values = (np.abs(batch) ** 2) @ weight_signs
-    grads = np.zeros(len(params))
-    for i, slot in enumerate(slot_order):
-        grads[slot] = 0.5 * (values[2 * i] - values[2 * i + 1])
-    return grads
+        return _shift_rule(circuit, params, max(n, observable.n_qubits),
+                           lambda state: expectation_zz(state, observable))
+    if isinstance(observable, (int, np.integer)):
+        return _shift_rule(circuit, params, max(n, int(observable) + 1),
+                           lambda state: expectation_z(state, int(observable)))
+    raise ValueError(f"unsupported observable {observable!r}")
 
 
 def z_readout_gradients(circuit: Sequence[GateOp], params: np.ndarray, n_qubits: int) -> np.ndarray:
-    """d<Z_q>/d(theta_k) for all slots and qubits, shape (P, n_qubits)."""
+    """d<Z_q>/d(theta_k) for all slots and qubits, shape (P, n_qubits), by the
+    per-slot shift rule; the reference the compiled maps are tested against."""
     _validate_slots(circuit, params)
-    batch, slot_order = _shifted_final_states(circuit, params, n_qubits)
-    z_rows = (np.abs(batch) ** 2) @ _z_sign_matrix(n_qubits)
-    out = np.zeros((len(params), n_qubits))
-    for i, slot in enumerate(slot_order):
-        out[slot] = 0.5 * (z_rows[2 * i] - z_rows[2 * i + 1])
-    return out
+    return _shift_rule(circuit, params, n_qubits, all_z_expectations)
 
 
 @dataclass(frozen=True)

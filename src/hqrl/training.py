@@ -15,11 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from . import solvers
-from .env import (Trajectory, VrpInstance, discounted_returns, encode_state, generate_instance,
-                  reset, select_vehicle, state_dim, step, valid_action_mask)
+from .env import (VEHICLE_RULES, Trajectory, VrpInstance, discounted_returns, encode_state,
+                  generate_instance, reset, select_vehicle, state_dim, step, valid_action_mask)
 from .policy import (AdamState, PolicyParams, ValueParams, adam_init, apply_update,
-                     init_policy_params, init_value_params, policy_circuit_for_size,
-                     policy_forward, reinforce_gradients, sample_action)
+                     compile_policy, compiled_forward, init_policy_params, init_value_params,
+                     policy_circuit_for_size, reinforce_gradients, sample_action)
 from .sim import ZZHamiltonian, circuit_metrics
 from .warmstart import build_cost_hamiltonian, build_subgraph, export_warm_start, optimize_angles
 
@@ -53,6 +53,10 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.episodes < 0:
             raise ValueError("episodes must be >= 0")
+        if self.vehicle_rule not in VEHICLE_RULES:
+            raise ValueError(f"vehicle_rule {self.vehicle_rule!r} is not one of {VEHICLE_RULES}")
+        if self.p != self.n_layers:
+            raise ValueError(f"p={self.p} must equal n_layers={self.n_layers}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -115,6 +119,7 @@ def rollout(instance: VrpInstance, params: PolicyParams, h_policy: ZZHamiltonian
             rng: np.random.Generator, greedy: bool = False, rule: str = "nearest",
             discount: float = 0.99, penalty: float = 10.0):
     """One masked episode; returns (trajectory, routes, total_reward, cost)."""
+    tail = compile_policy(params, h_policy)
     state = reset(instance)
     states, actions, rewards = [], [], []
     routes: dict[int, list[int]] = {v: [] for v in range(instance.n_vehicles)}
@@ -122,7 +127,7 @@ def rollout(instance: VrpInstance, params: PolicyParams, h_policy: ZZHamiltonian
     while not state.done:
         obs = encode_state(instance, state)
         mask = valid_action_mask(state)
-        dist = policy_forward(obs, params, h_policy, mask)
+        dist = compiled_forward(obs, params, tail, mask)
         action = sample_action(dist, rng, greedy=greedy)
         routes[select_vehicle(state, instance, action, rule)].append(action)
         outcome = step(instance, state, action, rule, penalty=penalty)
@@ -249,9 +254,11 @@ def finetune(ck: Checkpoint, new_config: RunConfig) -> tuple[TrainingLog, Checkp
 def evaluate(ck: Checkpoint, instance: VrpInstance) -> EvalResult:
     """Greedy rollout; cost normalized by the exact optimum when N <= 9,
     otherwise by nearest neighbor."""
-    expected = state_dim(instance.n_customers, instance.n_vehicles)
-    if ck.params.encoder_w.shape[1] != expected:
-        raise ValueError("checkpoint was trained for a different problem shape")
+    trained = (ck.config.n_customers, ck.config.n_vehicles)
+    shape = (instance.n_customers, instance.n_vehicles)
+    if trained != shape or ck.params.encoder_w.shape[1] != state_dim(*shape):
+        raise ValueError(f"checkpoint was trained for (n_customers, n_vehicles) = {trained}, "
+                         f"the instance has {shape}")
     h_policy = policy_hamiltonian(ck.config)
     rng = np.random.default_rng(0)  # unused in greedy mode
     _, routes, total, cost = rollout(instance, ck.params, h_policy, rng, greedy=True,
@@ -263,17 +270,19 @@ def evaluate(ck: Checkpoint, instance: VrpInstance) -> EvalResult:
 
 
 def peak_memory_estimate(ck: Checkpoint) -> int:
-    """Deterministic accounting of our own buffers: parameters, Adam moments
-    and the prefix-state cache the parameter-shift sweep keeps alive."""
+    """Formula-based estimate, not a measurement, of our own buffers at the
+    peak of an update: parameters, Adam moments, the gradient pass's prefix and
+    shifted maps, and an episode's N states through them.  The process, with
+    the interpreter and numpy, uses far more."""
     arrays = [ck.params.encoder_w, ck.params.encoder_b, ck.params.rotation_angles,
               ck.params.qaoa_angles, ck.params.head_w, ck.params.head_b,
               ck.vparams.w1, ck.vparams.b1, ck.vparams.w2, np.atleast_1d(ck.vparams.b2)]
     param_bytes = sum(int(a.nbytes) for a in arrays)
-    h_policy = policy_hamiltonian(ck.config)
-    circuit, _ = policy_circuit_for_size(ck.params, h_policy)
-    state_bytes = 16 * 2**ck.config.n_qubits
-    cache_bytes = state_bytes * (len(circuit) + 2)
-    return 3 * param_bytes + cache_bytes
+    circuit, _ = policy_circuit_for_size(ck.params, policy_hamiltonian(ck.config))
+    n_slots, dim = len(circuit), 2**ck.config.n_qubits  # one slot per gate
+    map_bytes = 16 * dim * dim * 3 * (n_slots - ck.config.n_qubits)
+    state_bytes = 16 * dim * ck.config.n_customers * (2 * n_slots + 1)
+    return 3 * param_bytes + map_bytes + state_bytes
 
 
 def convergence_episodes(rewards: np.ndarray, thresholds: list[float],

@@ -157,6 +157,7 @@ def warmstart_to_json(angles: WarmStartAngles, subgraph: Subgraph, seed: int) ->
         "gammas": [float(g) for g in angles.gammas],
         "betas": [float(b) for b in angles.betas],
         "final_cost": float(angles.final_cost),
+        "iterations_used": angles.iterations_used,
         "cost_history": [float(c) for c in angles.cost_history],
         "seed": seed,
         "subgraph_indices": list(subgraph.selected_customers),
@@ -168,7 +169,7 @@ def warmstart_from_json(data: dict) -> WarmStartAngles:
         gammas=np.array(data["gammas"], dtype=float),
         betas=np.array(data["betas"], dtype=float),
         final_cost=float(data["final_cost"]),
-        iterations_used=len(data["cost_history"]),
+        iterations_used=int(data["iterations_used"]),
         cost_history=[float(c) for c in data["cost_history"]],
     )
 

@@ -177,3 +177,21 @@ def test_runtime_errors_exit_3_with_json(tmp_path, capsys):
     assert main(["train", "--config", str(config), "--out", str(tmp_path)]) == 3
     payload = json.loads(capsys.readouterr().err.strip().split("\n")[-1])
     assert payload["error"] == "ValueError"
+
+
+def test_evaluate_shape_mismatch_exits_3_with_json(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"n_customers": 7, "n_vehicles": 1, "episodes": 0,
+                                  "seed": 2, "warmstart_max_iters": 10}))
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(run)]) == 0
+    instance = tmp_path / "instance.json"
+    env.save_instance(env.generate_instance(5, 4, 1), instance)
+    capsys.readouterr()
+
+    code = main(["evaluate", "--checkpoint", str(run / "checkpoint.json"),
+                 "--instance", str(instance), "--out", str(tmp_path / "eval")])
+    assert code == 3
+    payload = json.loads(capsys.readouterr().err.strip().split("\n")[-1])
+    assert payload["error"] == "ValueError"
+    assert "(7, 1)" in payload["detail"] and "(5, 4)" in payload["detail"]

@@ -47,6 +47,20 @@ def test_config_validation():
     assert config_from_dict(defaults.to_dict()) == defaults
 
 
+def test_config_rejects_unknown_vehicle_rule():
+    with pytest.raises(ValueError, match="vehicle_rule"):
+        RunConfig(vehicle_rule="closest")
+    assert RunConfig(vehicle_rule="round-robin").vehicle_rule == "round-robin"
+
+
+def test_config_rejects_p_other_than_n_layers():
+    with pytest.raises(ValueError, match="n_layers"):
+        RunConfig(p=3)
+    with pytest.raises(ValueError, match="n_layers"):
+        config_from_dict({"n_layers": 3})
+    assert RunConfig(p=3, n_layers=3).p == 3
+
+
 def test_policy_hamiltonian_is_complete_graph():
     h = policy_hamiltonian(RunConfig())
     assert isinstance(h, ZZHamiltonian)
@@ -68,6 +82,16 @@ def test_train_zero_episodes_gives_empty_log():
     log, ck = train(RunConfig(n_customers=4, episodes=0, seed=1, warmstart_max_iters=10))
     assert log.records == []
     assert ck.episode_count == 0
+
+
+def test_train_without_circuit_layers():
+    # With no layers the tail after the data layer is empty: V is the identity
+    # and only the data slots carry parameter-shift gradients.
+    log, ck = train(RunConfig(method="vanilla-qrl", warm_start=False, n_layers=0, p=0,
+                              n_customers=4, episodes=3, seed=1))
+    assert len(log.records) == 3
+    assert ck.params.rotation_angles.shape == (0, 4, 2)
+    assert all(np.isfinite(r.policy_loss) for r in log.records)
 
 
 def test_rollout_reward_cost_duality():
@@ -120,7 +144,7 @@ def test_transfer_rebuilds_encoder_blockwise():
     assert moved.opt.step == 0
 
     with pytest.raises(ValueError):
-        transfer_params(ck, RunConfig(n_customers=12, n_layers=3))
+        transfer_params(ck, RunConfig(n_customers=12, n_layers=3, p=3))
 
 
 def test_transfer_same_size_passes_checkpoint_through():
@@ -204,6 +228,20 @@ def test_evaluate_contract():
 
     with pytest.raises(ValueError):
         evaluate(ck8, generate_instance(5, 2, 1))
+
+
+def test_evaluate_rejects_other_shape_with_same_state_dim(monkeypatch):
+    # (N=7, K=1) and (N=5, K=4) both have state_dim 23.
+    assert state_dim(7, 1) == state_dim(5, 4)
+    _, ck = train(RunConfig(n_customers=7, n_vehicles=1, episodes=0, seed=2,
+                            warmstart_max_iters=10))
+
+    def no_rollout(*args, **kwargs):
+        raise AssertionError("evaluate rolled out before checking the shape")
+
+    monkeypatch.setattr("hqrl.training.rollout", no_rollout)
+    with pytest.raises(ValueError, match="n_customers, n_vehicles"):
+        evaluate(ck, generate_instance(5, 4, 1))
 
 
 def test_metrics_csv_format():

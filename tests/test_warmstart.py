@@ -6,6 +6,8 @@ one cost+mixer round starting from |++>, writing out the four amplitudes gives
 <H_C>(gamma, beta) = w * sin(2*gamma*w) * sin(4*beta).
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -211,3 +213,14 @@ def test_warmstart_json_roundtrip(tmp_path):
     save_warmstart(angles, sub, 7, path)
     loaded = load_warmstart(path)
     np.testing.assert_array_equal(loaded.gammas, angles.gammas)
+
+
+def test_warmstart_json_keeps_evaluation_count():
+    # The history holds only accepted steps, so its length is not the count of
+    # objective evaluations; the file carries that count itself.
+    instance = generate_instance(8, 2, 7)
+    angles, sub = run_warmstart(instance, n_qubits=4, p=2, max_iters=150, seed=7)
+    again = warmstart_from_json(json.loads(json.dumps(warmstart_to_json(angles, sub, seed=7))))
+    assert angles.iterations_used == 150
+    assert len(angles.cost_history) < 150
+    assert again.iterations_used == 150
