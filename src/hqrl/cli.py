@@ -14,18 +14,22 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import env, svgplot, training, warmstart
+from .policy import N_LAYERS, N_QUBITS
 from .training import RunConfig, config_from_dict
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    data: dict = {}
+def _resolve_config(args: argparse.Namespace, base: RunConfig | None = None) -> RunConfig:
+    """Settings from base, then the config file, then the flags, each overriding
+    the one before; HQRL_SEED applies only when none of them sets a seed."""
+    data = base.to_dict() if base else {}
     if getattr(args, "config", None):
-        data = json.loads(Path(args.config).read_text())
+        data.update(json.loads(Path(args.config).read_text()))
     overrides = {
         "seed": args.seed,
         "episodes": getattr(args, "episodes", None),
@@ -61,7 +65,7 @@ def _cmd_gen_instance(args: argparse.Namespace) -> int:
 def _cmd_warmstart(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     instance = env.load_instance(args.instance)
-    angles, subgraph = warmstart.run_warmstart(instance, cfg.n_qubits, cfg.p,
+    angles, subgraph = warmstart.run_warmstart(instance, N_QUBITS, N_LAYERS,
                                                cfg.warmstart_max_iters, cfg.seed)
     path = _outdir(args) / "warmstart.json"
     warmstart.save_warmstart(angles, subgraph, cfg.seed, path)
@@ -88,15 +92,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
 
 def _cmd_finetune(args: argparse.Namespace) -> int:
     ck = training.load_checkpoint(args.checkpoint)
-    base = ck.config.to_dict()
-    base["episodes"] = training.FINETUNE_EPISODES
-    if getattr(args, "config", None):
-        base.update(json.loads(Path(args.config).read_text()))
-    for key, value in [("seed", args.seed), ("episodes", args.episodes),
-                       ("n_customers", args.n), ("n_vehicles", args.k)]:
-        if value is not None:
-            base[key] = value
-    new_cfg = config_from_dict(base)
+    new_cfg = _resolve_config(args, replace(ck.config, episodes=training.FINETUNE_EPISODES))
     log, tuned = training.finetune(ck, new_cfg)
     out = _outdir(args)
     _write_run_artifacts(out, log, tuned)

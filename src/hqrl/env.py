@@ -189,14 +189,26 @@ def instance_to_json(instance: VrpInstance) -> dict:
     }
 
 
+def _coordinates(data: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    try:
+        coords = np.array(data[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"instance field {key!r} is not a coordinate array: {exc}") from None
+    if coords.shape != shape:
+        raise ValueError(f"instance field {key!r} has shape {coords.shape}, expected {shape}")
+    if not np.isfinite(coords).all():
+        raise ValueError(f"instance field {key!r} holds a non-finite value")
+    return coords
+
+
 def instance_from_json(data: dict) -> VrpInstance:
-    return VrpInstance(
-        n_customers=int(data["n_customers"]),
-        n_vehicles=int(data["n_vehicles"]),
-        depot=np.array(data["depot"], dtype=float),
-        customers=np.array(data["customers"], dtype=float),
-        seed=int(data["seed"]),
-    )
+    """Inverse of instance_to_json; a malformed file raises ValueError naming the field."""
+    n_customers, n_vehicles = int(data["n_customers"]), int(data["n_vehicles"])
+    if not 1 <= n_vehicles <= n_customers:
+        raise ValueError(f"instance field 'n_vehicles' = {n_vehicles} is outside "
+                         f"[1, n_customers={n_customers}]")
+    return VrpInstance(n_customers, n_vehicles, _coordinates(data, "depot", (2,)),
+                       _coordinates(data, "customers", (n_customers, 2)), int(data["seed"]))
 
 
 def save_instance(instance: VrpInstance, path: str | Path) -> None:

@@ -17,7 +17,7 @@ the per-gate slots analytically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -220,20 +220,9 @@ def value_forward(state_vec: np.ndarray, vparams: ValueParams) -> float:
     return float(vparams.w2 @ hidden + vparams.b2)
 
 
-def _zero_policy_grads(params: PolicyParams) -> dict[str, np.ndarray]:
-    return {
-        "encoder_w": np.zeros_like(params.encoder_w),
-        "encoder_b": np.zeros_like(params.encoder_b),
-        "rotation_angles": np.zeros_like(params.rotation_angles),
-        "qaoa_angles": np.zeros_like(params.qaoa_angles),
-        "head_w": np.zeros_like(params.head_w),
-        "head_b": np.zeros_like(params.head_b),
-    }
-
-
-def _zero_value_grads(vparams: ValueParams) -> dict[str, np.ndarray]:
-    return {"w1": np.zeros_like(vparams.w1), "b1": np.zeros_like(vparams.b1),
-            "w2": np.zeros_like(vparams.w2), "b2": np.zeros_like(vparams.b2)}
+def _zero_grads(group: PolicyParams | ValueParams) -> dict[str, np.ndarray]:
+    """Zeros shaped like every field of a parameter group, keyed by field name."""
+    return {f.name: np.zeros_like(getattr(group, f.name)) for f in fields(group)}
 
 
 def _readout_gradients(data_angles: np.ndarray, tail: np.ndarray,
@@ -276,7 +265,7 @@ def reinforce_gradients(trajectory, params: PolicyParams, vparams: ValueParams,
         value_loss = float(err @ err) / t_len
         advantage = -err
     else:
-        vg = _zero_value_grads(vparams)
+        vg = _zero_grads(vparams)
         value_loss = 0.0
         advantage = targets
 
@@ -294,7 +283,7 @@ def reinforce_gradients(trajectory, params: PolicyParams, vparams: ValueParams,
     d_logits[~masks] = 0.0
     d_logits *= advantage[:, None]
 
-    pg = _zero_policy_grads(params)
+    pg = _zero_grads(params)
     pg["head_w"] = d_logits.T @ z
     pg["head_b"] = d_logits.sum(axis=0)
     d_slots = np.einsum("ptq,tq->pt", dz_dslot, d_logits @ params.head_w)
@@ -316,8 +305,8 @@ class AdamState:
 
 
 def adam_init(params: PolicyParams, vparams: ValueParams) -> AdamState:
-    shapes = {**_zero_policy_grads(params),
-              **{f"value_{k}": z for k, z in _zero_value_grads(vparams).items()}}
+    shapes = {**_zero_grads(params),
+              **{f"value_{k}": z for k, z in _zero_grads(vparams).items()}}
     return AdamState(0, {k: z.copy() for k, z in shapes.items()},
                      {k: z.copy() for k, z in shapes.items()})
 
@@ -339,21 +328,9 @@ def apply_update(params: PolicyParams, vparams: ValueParams,
         deltas[name] = lr * m_hat / (np.sqrt(v_hat) + eps)
         new_m[name], new_v[name] = m, v
 
-    new_params = replace(
-        params,
-        encoder_w=params.encoder_w - deltas["encoder_w"],
-        encoder_b=params.encoder_b - deltas["encoder_b"],
-        rotation_angles=params.rotation_angles - deltas["rotation_angles"],
-        qaoa_angles=params.qaoa_angles - deltas["qaoa_angles"],
-        head_w=params.head_w - deltas["head_w"],
-        head_b=params.head_b - deltas["head_b"],
-    )
-    new_vparams = ValueParams(
-        w1=vparams.w1 - deltas["value_w1"],
-        b1=vparams.b1 - deltas["value_b1"],
-        w2=vparams.w2 - deltas["value_w2"],
-        b2=vparams.b2 - deltas["value_b2"],
-    )
+    new_params = replace(params, **{k: getattr(params, k) - deltas[k] for k in policy_grads})
+    new_vparams = replace(vparams, **{k: getattr(vparams, k) - deltas[f"value_{k}"]
+                                      for k in value_grads})
     return new_params, new_vparams, AdamState(t, new_m, new_v)
 
 

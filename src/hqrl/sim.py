@@ -216,21 +216,18 @@ def _z_signs(n: int, q: int) -> np.ndarray:
     return _z_sign_matrix(n)[:, q]
 
 
-def expectation_z(state: StateVector, qubit: int, shots: int | None = None,
-                  rng: np.random.Generator | None = None) -> float:
-    """<Z_q>, analytic by default; with shots, a sampled estimate."""
+def expectation_z(state: StateVector, qubit: int) -> float:
+    """<Z_q>, analytic."""
     if not 0 <= qubit < state.n_qubits:
         raise ValueError(f"qubit {qubit} out of range")
-    probs = _measure_probs(state, shots, rng)
-    return float(np.dot(_z_signs(state.n_qubits, qubit), probs))
+    return float(np.dot(_z_signs(state.n_qubits, qubit), state.probabilities()))
 
 
-def expectation_zz(state: StateVector, hamiltonian: ZZHamiltonian, shots: int | None = None,
-                   rng: np.random.Generator | None = None) -> float:
-    """<H_C> = sum_k w_k <Z_i Z_j>."""
+def expectation_zz(state: StateVector, hamiltonian: ZZHamiltonian) -> float:
+    """<H_C> = sum_k w_k <Z_i Z_j>, analytic."""
     if hamiltonian.n_qubits != state.n_qubits:
         raise ValueError("hamiltonian width does not match the state")
-    probs = _measure_probs(state, shots, rng)
+    probs = state.probabilities()
     total = 0.0
     for i, j, w in hamiltonian.terms:
         signs = 1.0 - 2.0 * _pair_parity(state.n_qubits, i, j)
@@ -246,18 +243,6 @@ def all_z_expectations(state: StateVector) -> np.ndarray:
 def z_readouts(amps: np.ndarray) -> np.ndarray:
     """<Z_q> for every qubit of every state in a (..., 2**n) array: shape (..., n)."""
     return (np.abs(amps) ** 2) @ _z_sign_matrix(int(amps.shape[-1]).bit_length() - 1)
-
-
-def _measure_probs(state: StateVector, shots: int | None, rng: np.random.Generator | None) -> np.ndarray:
-    probs = state.probabilities()
-    if shots is None:
-        return probs
-    if shots <= 0:
-        raise ValueError("shots must be positive")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    counts = rng.multinomial(shots, probs / probs.sum())
-    return counts / shots
 
 
 def _validate_slots(circuit: Sequence[GateOp], params: np.ndarray) -> None:
@@ -375,19 +360,3 @@ def circuit_metrics(circuit: Sequence[GateOp]) -> CircuitMetrics:
         for q in gate.targets:
             frontier[q] = level
     return CircuitMetrics(max(frontier.values()), max(frontier) + 1, len(circuit))
-
-
-def circuit_to_json(circuit: Sequence[GateOp]) -> list[dict]:
-    out = []
-    for g in circuit:
-        entry: dict = {"kind": g.kind, "targets": list(g.targets)}
-        if g.angle is not None:
-            entry["angle"] = g.angle
-        if g.slot is not None:
-            entry["slot"] = g.slot
-        out.append(entry)
-    return out
-
-
-def circuit_from_json(data: Sequence[dict]) -> list[GateOp]:
-    return [GateOp(d["kind"], tuple(d["targets"]), d.get("angle"), d.get("slot")) for d in data]

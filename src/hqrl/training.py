@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,14 +17,16 @@ import numpy as np
 from . import solvers
 from .env import (VEHICLE_RULES, Trajectory, VrpInstance, discounted_returns, encode_state,
                   generate_instance, reset, select_vehicle, state_dim, step, valid_action_mask)
-from .policy import (AdamState, PolicyParams, ValueParams, adam_init, apply_update,
-                     compile_policy, compiled_forward, init_policy_params, init_value_params,
-                     policy_circuit_for_size, reinforce_gradients, sample_action)
+from .policy import (N_LAYERS, N_QUBITS, AdamState, PolicyParams, ValueParams, adam_init,
+                     apply_update, compile_policy, compiled_forward, init_policy_params,
+                     init_value_params, policy_circuit_for_size, reinforce_gradients,
+                     sample_action)
 from .sim import ZZHamiltonian, circuit_metrics
-from .warmstart import build_cost_hamiltonian, build_subgraph, export_warm_start, optimize_angles
+from .warmstart import build_cost_hamiltonian, build_subgraph, export_warm_start, run_warmstart
 
 TRAINED_METHODS = ("hqrl-qaoa", "vanilla-qrl")
-ALL_METHODS = TRAINED_METHODS + ("random", "nearest-neighbor", "brute-force")
+# Circuit-shape keys older config files carry; they load only at the fixed shape.
+LEGACY_SHAPE_KEYS = {"n_qubits": N_QUBITS, "n_layers": N_LAYERS, "p": N_LAYERS}
 DEFAULT_SEEDS = (7, 77, 88, 101, 2024)
 FINETUNE_EPISODES = 40
 
@@ -40,31 +42,40 @@ class RunConfig:
     value_baseline: bool = True
     discount: float = 0.99
     invalid_penalty: float = 10.0
-    n_qubits: int = 4
-    n_layers: int = 2
-    p: int = 2
     warmstart_max_iters: int = 150
     lr_quantum: float = 0.01
     lr_classical: float = 0.001
     vehicle_rule: str = "nearest"
 
     def __post_init__(self) -> None:
-        if self.method not in ALL_METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
+        if self.method not in TRAINED_METHODS:
+            raise ValueError(f"method {self.method!r} is not one of {TRAINED_METHODS}")
+        if not 1 <= self.n_vehicles <= self.n_customers:
+            raise ValueError(f"n_vehicles={self.n_vehicles} is outside "
+                             f"[1, n_customers={self.n_customers}]")
         if self.episodes < 0:
             raise ValueError("episodes must be >= 0")
+        if not 0.0 < self.discount <= 1.0:
+            raise ValueError(f"discount={self.discount} is outside (0, 1]")
+        for key in ("lr_quantum", "lr_classical"):
+            if not getattr(self, key) > 0.0:
+                raise ValueError(f"{key}={getattr(self, key)} must be > 0")
+        if self.warmstart_max_iters < 1:
+            raise ValueError("warmstart_max_iters must be >= 1")
         if self.vehicle_rule not in VEHICLE_RULES:
             raise ValueError(f"vehicle_rule {self.vehicle_rule!r} is not one of {VEHICLE_RULES}")
-        if self.p != self.n_layers:
-            raise ValueError(f"p={self.p} must equal n_layers={self.n_layers}")
 
     def to_dict(self) -> dict:
         return asdict(self)
 
 
 def config_from_dict(data: dict) -> RunConfig:
-    known = {f for f in RunConfig.__dataclass_fields__}
-    unknown = set(data) - known
+    data = dict(data)
+    for key, fixed in LEGACY_SHAPE_KEYS.items():
+        if key in data and data.pop(key) != fixed:
+            raise ValueError(f"config key {key!r} must be {fixed}: the policy circuit is "
+                             f"fixed at {N_QUBITS} qubits and {N_LAYERS} layers")
+    unknown = set(data) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     return RunConfig(**data)
@@ -111,8 +122,7 @@ class EvalResult:
 def policy_hamiltonian(config: RunConfig) -> ZZHamiltonian:
     """Cost Hamiltonian the policy layers use, rebuilt from the config seed."""
     instance = generate_instance(config.n_customers, config.n_vehicles, config.seed)
-    subgraph = build_subgraph(instance, config.n_qubits)
-    return build_cost_hamiltonian(subgraph, n_qubits=config.n_qubits)
+    return build_cost_hamiltonian(build_subgraph(instance, N_QUBITS), n_qubits=N_QUBITS)
 
 
 def rollout(instance: VrpInstance, params: PolicyParams, h_policy: ZZHamiltonian,
@@ -144,20 +154,15 @@ def rollout(instance: VrpInstance, params: PolicyParams, h_policy: ZZHamiltonian
 
 
 def _init_checkpoint(config: RunConfig) -> Checkpoint:
-    if config.method not in TRAINED_METHODS:
-        raise ValueError(f"method {config.method!r} is not trainable")
     obs_dim = state_dim(config.n_customers, config.n_vehicles)
     rng = np.random.default_rng([config.seed, 0])
-    params = init_policy_params(obs_dim, config.n_customers, rng,
-                                config.n_qubits, config.n_layers)
+    params = init_policy_params(obs_dim, config.n_customers, rng)
     vparams = init_value_params(obs_dim, rng)
 
-    use_warm = config.warm_start and config.method == "hqrl-qaoa"
-    if use_warm:
+    if config.warm_start and config.method == "hqrl-qaoa":
         instance = generate_instance(config.n_customers, config.n_vehicles, config.seed)
-        subgraph = build_subgraph(instance, config.n_qubits)
-        angles = optimize_angles(build_cost_hamiltonian(subgraph), config.p,
-                                 config.warmstart_max_iters, config.seed)
+        angles, _ = run_warmstart(instance, N_QUBITS, N_LAYERS, config.warmstart_max_iters,
+                                  config.seed)
         params = export_warm_start(angles, params)
     return Checkpoint(config, params, vparams, adam_init(params, vparams), 0)
 
@@ -204,13 +209,11 @@ def transfer_params(ck: Checkpoint, new_config: RunConfig) -> Checkpoint:
     When the problem shape is unchanged nothing needs rebuilding, so the
     checkpoint passes through whole and fine-tuning is continued training."""
     old, new = ck.config, new_config
-    if (old.n_qubits, old.n_layers) != (new.n_qubits, new.n_layers):
-        raise ValueError("fine-tuning cannot change the circuit shape")
     if (old.n_customers, old.n_vehicles) == (new.n_customers, new.n_vehicles):
         return Checkpoint(new_config, ck.params, ck.vparams, ck.opt, ck.episode_count)
     obs_dim = state_dim(new.n_customers, new.n_vehicles)
     rng = np.random.default_rng([new.seed, 2])
-    fresh = init_policy_params(obs_dim, new.n_customers, rng, new.n_qubits, new.n_layers)
+    fresh = init_policy_params(obs_dim, new.n_customers, rng)
     fresh_v = init_value_params(obs_dim, rng)
 
     encoder_w = _transfer_obs_matrix(ck.params.encoder_w, fresh.encoder_w, old, new)
@@ -274,13 +277,11 @@ def peak_memory_estimate(ck: Checkpoint) -> int:
     peak of an update: parameters, Adam moments, the gradient pass's prefix and
     shifted maps, and an episode's N states through them.  The process, with
     the interpreter and numpy, uses far more."""
-    arrays = [ck.params.encoder_w, ck.params.encoder_b, ck.params.rotation_angles,
-              ck.params.qaoa_angles, ck.params.head_w, ck.params.head_b,
-              ck.vparams.w1, ck.vparams.b1, ck.vparams.w2, np.atleast_1d(ck.vparams.b2)]
-    param_bytes = sum(int(a.nbytes) for a in arrays)
+    param_bytes = sum(int(getattr(group, f.name).nbytes)
+                      for group in (ck.params, ck.vparams) for f in fields(group))
     circuit, _ = policy_circuit_for_size(ck.params, policy_hamiltonian(ck.config))
-    n_slots, dim = len(circuit), 2**ck.config.n_qubits  # one slot per gate
-    map_bytes = 16 * dim * dim * 3 * (n_slots - ck.config.n_qubits)
+    n_slots, dim = len(circuit), 2**N_QUBITS  # one slot per gate
+    map_bytes = 16 * dim * dim * 3 * (n_slots - N_QUBITS)
     state_bytes = 16 * dim * ck.config.n_customers * (2 * n_slots + 1)
     return 3 * param_bytes + map_bytes + state_bytes
 
@@ -360,7 +361,7 @@ def scalability_sweep(sizes: list[int], config: RunConfig) -> list[ComparisonRow
         rows.append(ComparisonRow("gas-analytic", size, "n/a",
                                   size * config.n_vehicles, "exponential", "n/a"))
         rows.append(ComparisonRow("qaoa-analytic", size, "n/a",
-                                  size, config.p * size, "n/a"))
+                                  size, N_LAYERS * size, "n/a"))
     return rows
 
 

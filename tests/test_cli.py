@@ -195,3 +195,60 @@ def test_evaluate_shape_mismatch_exits_3_with_json(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().err.strip().split("\n")[-1])
     assert payload["error"] == "ValueError"
     assert "(7, 1)" in payload["detail"] and "(5, 4)" in payload["detail"]
+
+
+def test_finetune_applies_method_and_switch_flags(tmp_path, monkeypatch):
+    monkeypatch.delenv("HQRL_SEED", raising=False)
+    config = _tiny_config(tmp_path)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(run)]) == 0
+
+    tuned = tmp_path / "tuned"
+    assert main(["finetune", "--checkpoint", str(run / "checkpoint.json"), "--episodes", "1",
+                 "--method", "vanilla-qrl", "--no-warm-start", "--no-value-baseline",
+                 "--out", str(tuned)]) == 0
+    cfg = json.loads((tuned / "checkpoint.json").read_text())["config"]
+    assert (cfg["method"], cfg["warm_start"], cfg["value_baseline"]) == (
+        "vanilla-qrl", False, False)
+    assert (cfg["n_customers"], cfg["seed"], cfg["episodes"]) == (4, 5, 1)
+
+    # Without --episodes the fine-tune budget is the preset, not the pretraining one.
+    preset = tmp_path / "preset"
+    assert main(["finetune", "--checkpoint", str(run / "checkpoint.json"),
+                 "--out", str(preset)]) == 0
+    cfg = json.loads((preset / "checkpoint.json").read_text())["config"]
+    assert (cfg["method"], cfg["value_baseline"], cfg["episodes"]) == ("hqrl-qaoa", True, 40)
+
+
+def test_evaluate_rejects_bad_instance_and_legacy_shape_with_exit_3(tmp_path, capsys,
+                                                                     monkeypatch):
+    monkeypatch.delenv("HQRL_SEED", raising=False)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(_tiny_config(tmp_path)), "--out", str(run)]) == 0
+    capsys.readouterr()
+
+    def evaluate_error(checkpoint, instance) -> dict:
+        code = main(["evaluate", "--checkpoint", str(checkpoint), "--instance", str(instance),
+                     "--out", str(tmp_path / "eval")])
+        assert code == 3
+        payload = json.loads(capsys.readouterr().err.strip().split("\n")[-1])
+        assert payload["error"] == "ValueError"
+        return payload
+
+    instance = json.loads((run / "instance.json").read_text())
+    instance["customers"][1][0] = float("nan")
+    bad_instance = tmp_path / "nan_instance.json"
+    bad_instance.write_text(json.dumps(instance))
+    assert "'customers'" in evaluate_error(run / "checkpoint.json", bad_instance)["detail"]
+    assert not (tmp_path / "eval" / "routes.json").exists()
+
+    ck = json.loads((run / "checkpoint.json").read_text())
+    ck["config"].update({"n_qubits": 4, "n_layers": 2, "p": 2})
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps(ck))
+    assert main(["evaluate", "--checkpoint", str(legacy), "--instance",
+                 str(run / "instance.json"), "--out", str(tmp_path / "eval")]) == 0
+    for key, value in (("n_qubits", 5), ("n_layers", 3), ("p", 3)):
+        bad = tmp_path / f"legacy_{key}.json"
+        bad.write_text(json.dumps({**ck, "config": {**ck["config"], key: value}}))
+        assert f"'{key}'" in evaluate_error(bad, run / "instance.json")["detail"]

@@ -252,3 +252,44 @@ def test_instance_json_roundtrip(tmp_path):
     save_instance(instance, path)
     loaded = load_instance(path)
     np.testing.assert_array_equal(loaded.customers, instance.customers)
+
+
+def _bad_instance(**changes) -> dict:
+    data = instance_to_json(generate_instance(4, 2, 3))
+    data.update(changes)
+    return data
+
+
+def test_instance_from_json_rejects_bad_depot_shape():
+    with pytest.raises(ValueError, match="'depot'.*shape"):
+        instance_from_json(_bad_instance(depot=[0.5, 0.5, 0.5]))
+    with pytest.raises(ValueError, match="'depot'"):
+        instance_from_json(_bad_instance(depot=[[0.5], [0.5, 0.1]]))
+
+
+def test_instance_from_json_rejects_bad_customer_shape():
+    # Three rows for four declared customers used to fail only at the first
+    # forward pass, as an encoder-dimension mismatch.
+    short = _bad_instance()
+    short["customers"] = short["customers"][:3]
+    with pytest.raises(ValueError, match=r"'customers'.*\(3, 2\).*\(4, 2\)"):
+        instance_from_json(short)
+    with pytest.raises(ValueError, match="'customers'.*shape"):
+        instance_from_json(_bad_instance(customers=[[0.1, 0.2, 0.3]] * 4))
+
+
+def test_instance_from_json_rejects_non_finite_coordinates():
+    for bad in (float("nan"), float("inf")):
+        data = _bad_instance()
+        data["customers"][2][1] = bad
+        with pytest.raises(ValueError, match="'customers'.*non-finite"):
+            instance_from_json(data)
+        with pytest.raises(ValueError, match="'depot'.*non-finite"):
+            instance_from_json(_bad_instance(depot=[bad, 0.5]))
+
+
+def test_instance_from_json_rejects_vehicle_count_outside_range():
+    for k in (0, 5):
+        with pytest.raises(ValueError, match="'n_vehicles'"):
+            instance_from_json(_bad_instance(n_vehicles=k))
+    assert instance_from_json(_bad_instance(n_vehicles=4)).n_vehicles == 4

@@ -12,9 +12,8 @@ from scipy.linalg import expm
 
 from hqrl.sim import (CircuitMetrics, GateOp, StateVector, ZZHamiltonian, all_z_expectations,
                       apply_cost_layer, apply_gate, apply_mixer_layer, basis_state,
-                      circuit_from_json, circuit_metrics, circuit_to_json, expectation_z,
-                      expectation_zz, init_plus_state, parameter_shift_gradient, run_circuit,
-                      z_readout_gradients)
+                      circuit_metrics, expectation_z, expectation_zz, init_plus_state,
+                      parameter_shift_gradient, run_circuit, z_readout_gradients)
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -231,16 +230,6 @@ def test_all_z_expectations_matches_single_readouts():
     np.testing.assert_allclose(all_z_expectations(state), per_qubit, atol=1e-14)
 
 
-def test_sampled_expectation_tracks_analytic():
-    rng = np.random.default_rng(2)
-    state = apply_gate(basis_state(1), GateOp("RY", (0,), 0.9))
-    analytic = expectation_z(state, 0)
-    sampled = expectation_z(state, 0, shots=200_000, rng=np.random.default_rng(4))
-    assert abs(sampled - analytic) < 0.01
-    with pytest.raises(ValueError):
-        expectation_z(state, 0, shots=0, rng=rng)
-
-
 def test_parameter_shift_single_ry():
     circuit = [GateOp("RY", (0,), slot=0)]
     assert parameter_shift_gradient(circuit, np.array([0.0]), 0) == pytest.approx(0.0)
@@ -322,10 +311,3 @@ def test_circuit_metrics_cases():
     assert circuit_metrics(parallel).depth == 1
     layered = [GateOp("H", (0,)), GateOp("CNOT", (0, 1))]
     assert circuit_metrics(layered) == CircuitMetrics(2, 2, 2)
-
-
-def test_circuit_json_roundtrip():
-    circuit = [GateOp("H", (0,)), GateOp("RY", (1,), 0.25), GateOp("RZZ", (0, 1), slot=0),
-               GateOp("CNOT", (1, 0))]
-    again = circuit_from_json(circuit_to_json(circuit))
-    assert again == circuit

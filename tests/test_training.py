@@ -28,17 +28,32 @@ def _dump(ck) -> str:
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(method="alpha-zero")
+    for untrained in ("random", "nearest-neighbor", "brute-force"):
+        with pytest.raises(ValueError, match="method"):
+            RunConfig(method=untrained)
     with pytest.raises(ValueError):
         RunConfig(episodes=-1)
     with pytest.raises(ValueError):
         config_from_dict({"method": "hqrl-qaoa", "learning_rate": 0.5})
+    for discount in (0.0, -0.5, 1.01, float("nan")):
+        with pytest.raises(ValueError, match="discount"):
+            RunConfig(discount=discount)
+    assert RunConfig(discount=1.0).discount == 1.0
+    for key in ("lr_quantum", "lr_classical"):
+        for lr in (0.0, -0.5, float("nan")):
+            with pytest.raises(ValueError, match=key):
+                RunConfig(**{key: lr})
+    with pytest.raises(ValueError, match="warmstart_max_iters"):
+        RunConfig(warmstart_max_iters=0)
+    for n, k in ((4, 0), (4, 5), (0, 1)):
+        with pytest.raises(ValueError, match="n_vehicles"):
+            RunConfig(n_customers=n, n_vehicles=k)
+    assert RunConfig(n_customers=3, n_vehicles=3).n_vehicles == 3
 
     defaults = RunConfig()
+    assert len(defaults.to_dict()) == 13
     assert defaults.invalid_penalty == 10.0
     assert defaults.discount == 0.99
-    assert defaults.n_qubits == 4
-    assert defaults.n_layers == 2
-    assert defaults.p == 2
     assert defaults.episodes == 250
     assert defaults.warmstart_max_iters == 150
     assert defaults.lr_quantum == 0.01
@@ -53,12 +68,39 @@ def test_config_rejects_unknown_vehicle_rule():
     assert RunConfig(vehicle_rule="round-robin").vehicle_rule == "round-robin"
 
 
-def test_config_rejects_p_other_than_n_layers():
-    with pytest.raises(ValueError, match="n_layers"):
-        RunConfig(p=3)
-    with pytest.raises(ValueError, match="n_layers"):
-        config_from_dict({"n_layers": 3})
-    assert RunConfig(p=3, n_layers=3).p == 3
+def _legacy_checkpoint(ck, **shape) -> dict:
+    """The checkpoint as older releases wrote it: its config also held the
+    circuit shape, n_qubits/n_layers/p, after invalid_penalty."""
+    data = checkpoint_to_json(ck)
+    config = {}
+    for key, value in data["config"].items():
+        config[key] = value
+        if key == "invalid_penalty":
+            config.update({"n_qubits": 4, "n_layers": 2, "p": 2, **shape})
+    data["config"] = config
+    return json.loads(json.dumps(data))
+
+
+def test_legacy_checkpoint_loads_at_the_fixed_circuit_shape():
+    _, ck = train(TINY)
+    legacy = checkpoint_from_json(_legacy_checkpoint(ck))
+    assert legacy.config == ck.config
+    assert _dump(legacy) == _dump(ck)
+
+    instance = generate_instance(4, 2, 11)
+    assert evaluate(legacy, instance).normalized_cost == evaluate(ck, instance).normalized_cost
+    target = RunConfig(method="hqrl-qaoa", n_customers=5, n_vehicles=2, episodes=2, seed=3,
+                       warmstart_max_iters=25)
+    log_legacy, tuned_legacy = finetune(legacy, target)
+    log, tuned = finetune(ck, target)
+    assert metrics_to_csv(log_legacy) == metrics_to_csv(log)
+    assert _dump(tuned_legacy) == _dump(tuned)
+
+    for key, value in (("n_qubits", 5), ("n_layers", 3), ("p", 3)):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            checkpoint_from_json(_legacy_checkpoint(ck, **{key: value}))
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            config_from_dict({key: value})
 
 
 def test_policy_hamiltonian_is_complete_graph():
@@ -82,16 +124,6 @@ def test_train_zero_episodes_gives_empty_log():
     log, ck = train(RunConfig(n_customers=4, episodes=0, seed=1, warmstart_max_iters=10))
     assert log.records == []
     assert ck.episode_count == 0
-
-
-def test_train_without_circuit_layers():
-    # With no layers the tail after the data layer is empty: V is the identity
-    # and only the data slots carry parameter-shift gradients.
-    log, ck = train(RunConfig(method="vanilla-qrl", warm_start=False, n_layers=0, p=0,
-                              n_customers=4, episodes=3, seed=1))
-    assert len(log.records) == 3
-    assert ck.params.rotation_angles.shape == (0, 4, 2)
-    assert all(np.isfinite(r.policy_loss) for r in log.records)
 
 
 def test_rollout_reward_cost_duality():
@@ -142,9 +174,6 @@ def test_transfer_rebuilds_encoder_blockwise():
     np.testing.assert_array_equal(new_v1[:, 20:28], fresh_v1[:, 20:28])
     np.testing.assert_array_equal(new_v1[:, 36:40], fresh_v1[:, 36:40])
     assert moved.opt.step == 0
-
-    with pytest.raises(ValueError):
-        transfer_params(ck, RunConfig(n_customers=12, n_layers=3, p=3))
 
 
 def test_transfer_same_size_passes_checkpoint_through():
