@@ -18,6 +18,7 @@ the per-gate slots analytically.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -40,6 +41,7 @@ HEAD_SCALE = 0.5
 ANGLE_SCALE = 0.1
 
 QUANTUM_GROUPS = ("rotation_angles", "qaoa_angles")
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -50,14 +52,6 @@ class PolicyParams:
     qaoa_angles: np.ndarray     # (L, 2)   -> gamma_l, beta_l
     head_w: np.ndarray          # (A, Q)
     head_b: np.ndarray          # (A,)
-
-    @property
-    def n_qubits(self) -> int:
-        return self.encoder_w.shape[0]
-
-    @property
-    def n_layers(self) -> int:
-        return self.rotation_angles.shape[0]
 
     @property
     def n_actions(self) -> int:
@@ -75,8 +69,6 @@ class ValueParams:
 @dataclass(frozen=True)
 class ActionDistribution:
     probabilities: np.ndarray
-    logits: np.ndarray
-    mask: np.ndarray
 
 
 def action_codes(n_actions: int, n_qubits: int) -> np.ndarray:
@@ -92,27 +84,25 @@ def action_codes(n_actions: int, n_qubits: int) -> np.ndarray:
     return rows
 
 
-def init_policy_params(obs_dim: int, n_actions: int, rng: np.random.Generator,
-                       n_qubits: int = N_QUBITS, n_layers: int = N_LAYERS) -> PolicyParams:
+def init_policy_params(obs_dim: int, n_actions: int, rng: np.random.Generator) -> PolicyParams:
     """Seeded init; the QAOA angles drawn here are the vanilla baseline's
     random scheme and get overwritten when a warm start is exported."""
     fixed = np.random.default_rng(ENCODER_SEED)
     return PolicyParams(
-        encoder_w=fixed.normal(0.0, ENCODER_SCALE, (n_qubits, obs_dim)),
-        encoder_b=np.zeros(n_qubits),
-        rotation_angles=rng.normal(0.0, ANGLE_SCALE, (n_layers, n_qubits, 2)),
-        qaoa_angles=rng.normal(0.0, ANGLE_SCALE, (n_layers, 2)),
-        head_w=HEAD_SCALE * action_codes(n_actions, n_qubits),
+        encoder_w=fixed.normal(0.0, ENCODER_SCALE, (N_QUBITS, obs_dim)),
+        encoder_b=np.zeros(N_QUBITS),
+        rotation_angles=rng.normal(0.0, ANGLE_SCALE, (N_LAYERS, N_QUBITS, 2)),
+        qaoa_angles=rng.normal(0.0, ANGLE_SCALE, (N_LAYERS, 2)),
+        head_w=HEAD_SCALE * action_codes(n_actions, N_QUBITS),
         head_b=np.zeros(n_actions),
     )
 
 
-def init_value_params(obs_dim: int, rng: np.random.Generator,
-                      hidden: int = VALUE_HIDDEN) -> ValueParams:
+def init_value_params(obs_dim: int, rng: np.random.Generator) -> ValueParams:
     return ValueParams(
-        w1=rng.normal(0.0, 0.1, (hidden, obs_dim)),
-        b1=np.zeros(hidden),
-        w2=rng.normal(0.0, 0.1, hidden),
+        w1=rng.normal(0.0, 0.1, (VALUE_HIDDEN, obs_dim)),
+        b1=np.zeros(VALUE_HIDDEN),
+        w2=rng.normal(0.0, 0.1, VALUE_HIDDEN),
         b2=np.zeros(()),
     )
 
@@ -125,20 +115,13 @@ def encode_observation(state_vec: np.ndarray, params: PolicyParams) -> np.ndarra
     return np.pi * np.tanh(params.encoder_w @ state_vec + params.encoder_b)
 
 
-_TEMPLATE_CACHE: dict[tuple, tuple[list[GateOp], list[tuple[str, tuple, float]], list[GateOp]]] = {}
-
-
-def _circuit_template(n_qubits: int, n_layers: int, h_policy: ZZHamiltonian):
+@lru_cache(maxsize=64)
+def _circuit_template(terms: tuple[tuple[int, int, float], ...]):
     """Gate list with one parameter slot per gate, slot metadata, and the tail
-    after the data layer with its slots renumbered from 0.  Metadata rows are
-    (group, index, scale): the gate angle is scale * parameter[group][index],
-    which is what the chain rule needs.  Values change per state and per
-    update; the structure never does."""
-    key = (n_qubits, n_layers, tuple(h_policy.terms))
-    cached = _TEMPLATE_CACHE.get(key)
-    if cached is not None:
-        return cached
-
+    after the data layer with its slots renumbered from 0, for the policy
+    Hamiltonian's ZZ terms.  Metadata rows are (group, index, scale): the gate
+    angle is scale * parameter[group][index], which is what the chain rule
+    needs.  Values change per state and per update; the structure never does."""
     circuit: list[GateOp] = []
     spec: list[tuple[str, tuple, float]] = []
 
@@ -146,34 +129,33 @@ def _circuit_template(n_qubits: int, n_layers: int, h_policy: ZZHamiltonian):
         circuit.append(GateOp(kind, targets, slot=len(spec)))
         spec.append((group, index, scale))
 
-    for q in range(n_qubits):
+    for q in range(N_QUBITS):
         add("RY", (q,), "data", (q,), 1.0)
-    for l in range(n_layers):
-        for q in range(n_qubits):
+    for l in range(N_LAYERS):
+        for q in range(N_QUBITS):
             add("RY", (q,), "rotation_angles", (l, q, 0), 1.0)
-        for q in range(n_qubits):
+        for q in range(N_QUBITS):
             add("RZ", (q,), "rotation_angles", (l, q, 1), 1.0)
-        for i, j, w in h_policy.terms:
+        for i, j, w in terms:
             add("RZZ", (i, j), "qaoa_angles", (l, 0), 2.0 * w)
-        for q in range(n_qubits):
+        for q in range(N_QUBITS):
             add("RX", (q,), "qaoa_angles", (l, 1), 2.0)
-    tail = [GateOp(g.kind, g.targets, slot=g.slot - n_qubits) for g in circuit[n_qubits:]]
-    _TEMPLATE_CACHE[key] = (circuit, spec, tail)
-    return _TEMPLATE_CACHE[key]
+    tail = tuple(GateOp(g.kind, g.targets, slot=g.slot - N_QUBITS) for g in circuit[N_QUBITS:])
+    return tuple(circuit), tuple(spec), tail  # cached, so handed out immutable
 
 
 def _tail_angles(params: PolicyParams, h_policy: ZZHamiltonian) -> np.ndarray:
     """Gate angles of the slots after the data layer, in slot order."""
-    _, spec, _ = _circuit_template(params.n_qubits, params.n_layers, h_policy)
+    _, spec, _ = _circuit_template(tuple(h_policy.terms))
     return np.array([scale * getattr(params, group)[index]
-                     for group, index, scale in spec[params.n_qubits:]])
+                     for group, index, scale in spec[N_QUBITS:]])
 
 
 def compile_policy(params: PolicyParams, h_policy: ZZHamiltonian) -> np.ndarray:
     """V(theta): every gate after the data layer as one matrix on row states
     (see sim.circuit_map).  Valid until the parameters next change."""
-    _, _, tail = _circuit_template(params.n_qubits, params.n_layers, h_policy)
-    return circuit_map(tail, _tail_angles(params, h_policy), params.n_qubits)
+    _, _, tail = _circuit_template(tuple(h_policy.terms))
+    return circuit_map(tail, _tail_angles(params, h_policy), N_QUBITS)
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -192,9 +174,7 @@ def compiled_forward(state_vec: np.ndarray, params: PolicyParams, tail: np.ndarr
                      mask: np.ndarray) -> ActionDistribution:
     """policy_forward with V(theta) already compiled by compile_policy."""
     z = z_readouts(ry_product_state(encode_observation(state_vec, params)) @ tail)
-    logits = params.head_w @ z + params.head_b
-    probs = masked_softmax(logits, mask)
-    return ActionDistribution(probs, logits, np.asarray(mask, dtype=bool))
+    return ActionDistribution(masked_softmax(params.head_w @ z + params.head_b, mask))
 
 
 def policy_forward(state_vec: np.ndarray, params: PolicyParams, h_policy: ZZHamiltonian,
@@ -230,9 +210,8 @@ def _readout_gradients(data_angles: np.ndarray, tail: np.ndarray,
     """Readouts (T, Q) for T rows of data angles, and their parameter-shift
     gradients (P, T, Q) for every slot in slot order: a data slot shifts the
     product state, a tail slot swaps V for its shifted map."""
-    n_qubits = data_angles.shape[-1]
     states = ry_product_state(data_angles)
-    bumps = np.kron(np.eye(n_qubits), [[1.0], [-1.0]]) * (np.pi / 2.0)  # rows +e_q, -e_q
+    bumps = np.kron(np.eye(N_QUBITS), [[1.0], [-1.0]]) * (np.pi / 2.0)  # rows +e_q, -e_q
     data_shifted = ry_product_state(data_angles[None] + bumps[:, None, :])
     shifted_z = np.concatenate([z_readouts(data_shifted @ tail), z_readouts(states @ shifted)])
     return z_readouts(states @ tail), 0.5 * (shifted_z[0::2] - shifted_z[1::2])
@@ -269,9 +248,8 @@ def reinforce_gradients(trajectory, params: PolicyParams, vparams: ValueParams,
         value_loss = 0.0
         advantage = targets
 
-    _, spec, tail_circuit = _circuit_template(params.n_qubits, params.n_layers, h_policy)
-    tail, shifted = parameter_shift_maps(tail_circuit, _tail_angles(params, h_policy),
-                                         params.n_qubits)
+    _, spec, tail_circuit = _circuit_template(tuple(h_policy.terms))
+    tail, shifted = parameter_shift_maps(tail_circuit, _tail_angles(params, h_policy), N_QUBITS)
     pre = states @ params.encoder_w.T + params.encoder_b
     z, dz_dslot = _readout_gradients(np.pi * np.tanh(pre), tail, shifted)
     logits = z @ params.head_w.T + params.head_b
@@ -288,10 +266,10 @@ def reinforce_gradients(trajectory, params: PolicyParams, vparams: ValueParams,
     pg["head_b"] = d_logits.sum(axis=0)
     d_slots = np.einsum("ptq,tq->pt", dz_dslot, d_logits @ params.head_w)
 
-    n_data = params.n_qubits  # data slot q loads qubit q with gate scale 1
-    for k, (group, index, gate_scale) in enumerate(spec[n_data:], start=n_data):
+    for k, (group, index, gate_scale) in enumerate(spec[N_QUBITS:], start=N_QUBITS):
         pg[group][index] += d_slots[k].sum() * gate_scale
-    d_pre = d_slots[:n_data].T * np.pi * (1.0 - np.tanh(pre) ** 2)
+    # data slot q loads qubit q with gate scale 1
+    d_pre = d_slots[:N_QUBITS].T * np.pi * (1.0 - np.tanh(pre) ** 2)
     pg["encoder_w"] = d_pre.T @ states
     pg["encoder_b"] = d_pre.sum(axis=0)
     return pg, vg, float(policy_loss), float(value_loss)
@@ -313,19 +291,18 @@ def adam_init(params: PolicyParams, vparams: ValueParams) -> AdamState:
 
 def apply_update(params: PolicyParams, vparams: ValueParams,
                  policy_grads: dict[str, np.ndarray], value_grads: dict[str, np.ndarray],
-                 opt: AdamState, lr_quantum: float = 0.01, lr_classical: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+                 opt: AdamState, lr_quantum: float = 0.01, lr_classical: float = 0.001):
     """One Adam step; quantum angle groups get their own learning rate."""
     grads = {**policy_grads, **{f"value_{k}": g for k, g in value_grads.items()}}
     t = opt.step + 1
     new_m, new_v, deltas = {}, {}, {}
     for name, g in grads.items():
-        m = beta1 * opt.m[name] + (1.0 - beta1) * g
-        v = beta2 * opt.v[name] + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
+        m = ADAM_BETA1 * opt.m[name] + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * opt.v[name] + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
         lr = lr_quantum if name in QUANTUM_GROUPS else lr_classical
-        deltas[name] = lr * m_hat / (np.sqrt(v_hat) + eps)
+        deltas[name] = lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         new_m[name], new_v[name] = m, v
 
     new_params = replace(params, **{k: getattr(params, k) - deltas[k] for k in policy_grads})
@@ -336,5 +313,5 @@ def apply_update(params: PolicyParams, vparams: ValueParams,
 
 def policy_circuit_for_size(params: PolicyParams, h_policy: ZZHamiltonian):
     """The full circuit and its slot values at zero data angles."""
-    circuit, _, _ = _circuit_template(params.n_qubits, params.n_layers, h_policy)
-    return circuit, np.concatenate([np.zeros(params.n_qubits), _tail_angles(params, h_policy)])
+    circuit, _, _ = _circuit_template(tuple(h_policy.terms))
+    return circuit, np.concatenate([np.zeros(N_QUBITS), _tail_angles(params, h_policy)])

@@ -8,27 +8,30 @@ warm start is itself seeded, so repeated runs write identical artifacts.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import solvers
-from .env import (VEHICLE_RULES, Trajectory, VrpInstance, discounted_returns, encode_state,
-                  generate_instance, reset, select_vehicle, state_dim, step, valid_action_mask)
+from .env import (DISCOUNT, INVALID_PENALTY, VEHICLE_RULES, Trajectory, VrpInstance,
+                  discounted_returns, encode_state, generate_instance, reset, select_vehicle,
+                  state_dim, step, valid_action_mask)
 from .policy import (N_LAYERS, N_QUBITS, AdamState, PolicyParams, ValueParams, adam_init,
                      apply_update, compile_policy, compiled_forward, init_policy_params,
                      init_value_params, policy_circuit_for_size, reinforce_gradients,
                      sample_action)
 from .sim import ZZHamiltonian, circuit_metrics
-from .warmstart import build_cost_hamiltonian, build_subgraph, export_warm_start, run_warmstart
+from .warmstart import (MAX_ITERS, build_cost_hamiltonian, build_subgraph, export_warm_start,
+                        optimize_angles)
 
 TRAINED_METHODS = ("hqrl-qaoa", "vanilla-qrl")
 # Circuit-shape keys older config files carry; they load only at the fixed shape.
 LEGACY_SHAPE_KEYS = {"n_qubits": N_QUBITS, "n_layers": N_LAYERS, "p": N_LAYERS}
 DEFAULT_SEEDS = (7, 77, 88, 101, 2024)
 FINETUNE_EPISODES = 40
+# Accepted value types per field annotation; a bool is an int, so only bool fields take one.
+_FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
 
 
 @dataclass(frozen=True)
@@ -40,16 +43,24 @@ class RunConfig:
     seed: int = 7
     warm_start: bool = True
     value_baseline: bool = True
-    discount: float = 0.99
-    invalid_penalty: float = 10.0
-    warmstart_max_iters: int = 150
+    discount: float = DISCOUNT
+    invalid_penalty: float = INVALID_PENALTY
+    warmstart_max_iters: int = MAX_ITERS
     lr_quantum: float = 0.01
     lr_classical: float = 0.001
     vehicle_rule: str = "nearest"
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _FIELD_TYPES[f.type]) or (
+                    isinstance(value, bool) and f.type != "bool"):
+                raise ValueError(f"{f.name}={value!r} is not a {f.type}")
         if self.method not in TRAINED_METHODS:
             raise ValueError(f"method {self.method!r} is not one of {TRAINED_METHODS}")
+        if self.method == "vanilla-qrl" and self.warm_start:
+            raise ValueError("method 'vanilla-qrl' trains from random angles, so warm_start "
+                             "must be false (CLI: --no-warm-start)")
         if not 1 <= self.n_vehicles <= self.n_customers:
             raise ValueError(f"n_vehicles={self.n_vehicles} is outside "
                              f"[1, n_customers={self.n_customers}]")
@@ -92,9 +103,7 @@ class EpisodeRecord:
 
 @dataclass
 class TrainingLog:
-    config: RunConfig
     records: list[EpisodeRecord]
-    wall_time_s: float
     peak_mem_bytes: int
 
     def rewards(self) -> np.ndarray:
@@ -120,14 +129,15 @@ class EvalResult:
 
 
 def policy_hamiltonian(config: RunConfig) -> ZZHamiltonian:
-    """Cost Hamiltonian the policy layers use, rebuilt from the config seed."""
+    """Cost Hamiltonian of the policy's cost layers and of the warm start that
+    seeds their angles, rebuilt from the config seed."""
     instance = generate_instance(config.n_customers, config.n_vehicles, config.seed)
-    return build_cost_hamiltonian(build_subgraph(instance, N_QUBITS), n_qubits=N_QUBITS)
+    return build_cost_hamiltonian(build_subgraph(instance, N_QUBITS))
 
 
 def rollout(instance: VrpInstance, params: PolicyParams, h_policy: ZZHamiltonian,
             rng: np.random.Generator, greedy: bool = False, rule: str = "nearest",
-            discount: float = 0.99, penalty: float = 10.0):
+            discount: float = DISCOUNT, penalty: float = INVALID_PENALTY):
     """One masked episode; returns (trajectory, routes, total_reward, cost)."""
     tail = compile_policy(params, h_policy)
     state = reset(instance)
@@ -159,10 +169,9 @@ def _init_checkpoint(config: RunConfig) -> Checkpoint:
     params = init_policy_params(obs_dim, config.n_customers, rng)
     vparams = init_value_params(obs_dim, rng)
 
-    if config.warm_start and config.method == "hqrl-qaoa":
-        instance = generate_instance(config.n_customers, config.n_vehicles, config.seed)
-        angles, _ = run_warmstart(instance, N_QUBITS, N_LAYERS, config.warmstart_max_iters,
-                                  config.seed)
+    if config.warm_start:
+        angles = optimize_angles(policy_hamiltonian(config), N_LAYERS,
+                                 config.warmstart_max_iters, config.seed)
         params = export_warm_start(angles, params)
     return Checkpoint(config, params, vparams, adam_init(params, vparams), 0)
 
@@ -174,7 +183,6 @@ def _run_episodes(ck: Checkpoint, episodes: int) -> tuple[TrainingLog, Checkpoin
     rng = np.random.default_rng([config.seed, 1])
     params, vparams, opt = ck.params, ck.vparams, ck.opt
 
-    started = time.perf_counter()
     records: list[EpisodeRecord] = []
     for episode in range(episodes):
         traj, routes, total, cost = rollout(instance, params, h_policy, rng,
@@ -190,10 +198,8 @@ def _run_episodes(ck: Checkpoint, episodes: int) -> tuple[TrainingLog, Checkpoin
                                             config.lr_quantum, config.lr_classical)
         records.append(EpisodeRecord(episode, total, ploss, vloss, cost))
 
-    wall = time.perf_counter() - started
     new_ck = Checkpoint(config, params, vparams, opt, ck.episode_count + episodes)
-    log = TrainingLog(config, records, wall, peak_memory_estimate(new_ck))
-    return log, new_ck
+    return TrainingLog(records, peak_memory_estimate(new_ck)), new_ck
 
 
 def train(config: RunConfig) -> tuple[TrainingLog, Checkpoint]:
@@ -284,25 +290,6 @@ def peak_memory_estimate(ck: Checkpoint) -> int:
     map_bytes = 16 * dim * dim * 3 * (n_slots - N_QUBITS)
     state_bytes = 16 * dim * ck.config.n_customers * (2 * n_slots + 1)
     return 3 * param_bytes + map_bytes + state_bytes
-
-
-def convergence_episodes(rewards: np.ndarray, thresholds: list[float],
-                         window: int = 10) -> list[int | None]:
-    """First episode whose trailing moving average reaches each threshold.
-
-    Thresholds must be ascending; unreached ones map to None.
-    """
-    if list(thresholds) != sorted(thresholds):
-        raise ValueError("thresholds must be ascending")
-    rewards = np.asarray(rewards, dtype=float)
-    if rewards.size == 0:
-        raise ValueError("empty reward log")
-    smoothed = [rewards[max(0, e - window + 1):e + 1].mean() for e in range(rewards.size)]
-    out: list[int | None] = []
-    for th in thresholds:
-        hit = next((e for e, s in enumerate(smoothed) if s >= th), None)
-        out.append(hit)
-    return out
 
 
 @dataclass(frozen=True)
@@ -435,7 +422,29 @@ def checkpoint_from_json(data: dict) -> Checkpoint:
         m={k: np.array(v, dtype=float) for k, v in data["optimizer_state"]["m"].items()},
         v={k: np.array(v, dtype=float) for k, v in data["optimizer_state"]["v"].items()},
     )
-    return Checkpoint(config, params, vparams, opt, int(data["episode_count"]))
+    ck = Checkpoint(config, params, vparams, opt, int(data["episode_count"]))
+    _check_arrays(ck)
+    return ck
+
+
+def _check_arrays(ck: Checkpoint) -> None:
+    """Parameters and Adam moments must be finite and shaped like a fresh init
+    for the config's (n_customers, n_vehicles); names follow adam_init's keys."""
+    obs_dim = state_dim(ck.config.n_customers, ck.config.n_vehicles)
+    rng = np.random.default_rng(0)
+    fresh = adam_init(init_policy_params(obs_dim, ck.config.n_customers, rng),
+                      init_value_params(obs_dim, rng)).m
+    params = {f"{prefix}{f.name}": getattr(group, f.name)
+              for prefix, group in (("", ck.params), ("value_", ck.vparams)) for f in fields(group)}
+    for where, arrays in (("", params), ("optimizer_state.m.", ck.opt.m),
+                          ("optimizer_state.v.", ck.opt.v)):
+        if set(arrays) != set(fresh):
+            raise ValueError(f"checkpoint {where.rstrip('.') or 'parameter'} keys "
+                             f"{sorted(arrays)} are not {sorted(fresh)}")
+        for key, array in arrays.items():
+            if array.shape != fresh[key].shape or not np.all(np.isfinite(array)):
+                raise ValueError(f"checkpoint field {where}{key} must be finite with shape "
+                                 f"{fresh[key].shape}, got shape {array.shape}")
 
 
 def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:

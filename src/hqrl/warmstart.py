@@ -60,15 +60,13 @@ def build_subgraph(instance: VrpInstance, n_qubits: int) -> Subgraph:
     return Subgraph(chosen, weights)
 
 
-def build_cost_hamiltonian(subgraph: Subgraph, n_qubits: int | None = None) -> ZZHamiltonian:
-    """One ZZ term per customer pair, weighted by normalized distance."""
+def build_cost_hamiltonian(subgraph: Subgraph) -> ZZHamiltonian:
+    """One ZZ term per customer pair, weighted by normalized distance, on one
+    qubit per subgraph customer."""
     n_sub = len(subgraph.selected_customers)
-    width = n_sub if n_qubits is None else n_qubits
-    if width < n_sub:
-        raise ValueError("register narrower than the subgraph")
     terms = [(i, j, float(subgraph.pairwise_weights[i, j]))
              for i in range(n_sub) for j in range(i + 1, n_sub)]
-    return ZZHamiltonian(width, terms)
+    return ZZHamiltonian(n_sub, terms)
 
 
 def qaoa_expectation(hamiltonian: ZZHamiltonian, gammas: np.ndarray, betas: np.ndarray) -> float:
@@ -164,19 +162,5 @@ def warmstart_to_json(angles: WarmStartAngles, subgraph: Subgraph, seed: int) ->
     }
 
 
-def warmstart_from_json(data: dict) -> WarmStartAngles:
-    return WarmStartAngles(
-        gammas=np.array(data["gammas"], dtype=float),
-        betas=np.array(data["betas"], dtype=float),
-        final_cost=float(data["final_cost"]),
-        iterations_used=int(data["iterations_used"]),
-        cost_history=[float(c) for c in data["cost_history"]],
-    )
-
-
 def save_warmstart(angles: WarmStartAngles, subgraph: Subgraph, seed: int, path: str | Path) -> None:
     Path(path).write_text(json.dumps(warmstart_to_json(angles, subgraph, seed), indent=2) + "\n")
-
-
-def load_warmstart(path: str | Path) -> WarmStartAngles:
-    return warmstart_from_json(json.loads(Path(path).read_text()))

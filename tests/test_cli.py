@@ -252,3 +252,48 @@ def test_evaluate_rejects_bad_instance_and_legacy_shape_with_exit_3(tmp_path, ca
         bad = tmp_path / f"legacy_{key}.json"
         bad.write_text(json.dumps({**ck, "config": {**ck["config"], key: value}}))
         assert f"'{key}'" in evaluate_error(bad, run / "instance.json")["detail"]
+
+
+def _last_error(capsys) -> dict:
+    payload = json.loads(capsys.readouterr().err.strip().split("\n")[-1])
+    assert payload["error"] == "ValueError"
+    return payload
+
+
+def test_bad_config_types_and_vanilla_warm_start_exit_3_before_work(tmp_path, capsys,
+                                                                    monkeypatch):
+    monkeypatch.delenv("HQRL_SEED", raising=False)
+    for key, value in (("warm_start", "no"), ("episodes", 2.5), ("seed", True)):
+        out = tmp_path / f"run_{key}"
+        config = _tiny_config(tmp_path, **{key: value})
+        assert main(["train", "--config", str(config), "--out", str(out)]) == 3
+        assert key in _last_error(capsys)["detail"]
+        assert not out.exists()
+
+    vanilla = ["train", "--config", str(_tiny_config(tmp_path)), "--method", "vanilla-qrl"]
+    assert main([*vanilla, "--out", str(tmp_path / "vanilla")]) == 3
+    detail = _last_error(capsys)["detail"]
+    assert "vanilla-qrl" in detail and "warm_start" in detail and "--no-warm-start" in detail
+    assert not (tmp_path / "vanilla").exists()
+    assert main([*vanilla, "--no-warm-start", "--out", str(tmp_path / "vanilla")]) == 0
+
+
+def test_evaluate_rejects_bad_checkpoint_arrays_with_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("HQRL_SEED", raising=False)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(_tiny_config(tmp_path)), "--out", str(run)]) == 0
+    capsys.readouterr()
+    ck = json.loads((run / "checkpoint.json").read_text())
+
+    nan_angle = json.loads(json.dumps(ck))
+    nan_angle["qaoa_angles"][1][0] = float("nan")
+    one_layer = {**ck, "rotation_angles": ck["rotation_angles"][:1]}
+    for label, data, field in (("nan", nan_angle, "qaoa_angles"),
+                               ("one_layer", one_layer, "rotation_angles")):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / f"eval_{label}"
+        assert main(["evaluate", "--checkpoint", str(path), "--instance",
+                     str(run / "instance.json"), "--out", str(out)]) == 3
+        assert field in _last_error(capsys)["detail"]
+        assert not (out / "routes.json").exists()

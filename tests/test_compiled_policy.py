@@ -41,7 +41,7 @@ def _full_circuit(data, params, h):
 
 
 def _compiled(params, h):
-    _, _, tail = _circuit_template(N_QUBITS, N_LAYERS, h)
+    _, _, tail = _circuit_template(tuple(h.terms))
     return parameter_shift_maps(tail, _tail_angles(params, h), N_QUBITS)
 
 

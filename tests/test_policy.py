@@ -73,7 +73,8 @@ def test_init_is_deterministic_with_fixed_scaffolding():
     expected_encoder = np.random.default_rng(ENCODER_SEED).normal(0.0, 0.3, (4, 19))
     np.testing.assert_array_equal(a.encoder_w, expected_encoder)
 
-    assert (a.n_qubits, a.n_layers, a.n_actions) == (4, 2, 5)
+    assert a.rotation_angles.shape == (2, 4, 2) and a.qaoa_angles.shape == (2, 2)
+    assert a.n_actions == 5
 
 
 def test_encode_observation_contract():

@@ -13,9 +13,9 @@ from hqrl.policy import (ENCODER_SCALE, ENCODER_SEED, action_codes,
 from hqrl.sim import ZZHamiltonian
 from hqrl.solvers import brute_force_optimal
 from hqrl.training import (FINETUNE_EPISODES, RunConfig, ablate, checkpoint_from_json,
-                           checkpoint_to_json, config_from_dict, convergence_episodes, evaluate,
-                           finetune, metrics_to_csv, peak_memory_estimate, policy_hamiltonian,
-                           rollout, scalability_sweep, train, transfer_params)
+                           checkpoint_to_json, config_from_dict, evaluate, finetune,
+                           metrics_to_csv, peak_memory_estimate, policy_hamiltonian, rollout,
+                           scalability_sweep, train, transfer_params)
 
 TINY = RunConfig(method="hqrl-qaoa", n_customers=4, n_vehicles=2, episodes=6, seed=3,
                  warmstart_max_iters=25)
@@ -49,6 +49,17 @@ def test_config_validation():
         with pytest.raises(ValueError, match="n_vehicles"):
             RunConfig(n_customers=n, n_vehicles=k)
     assert RunConfig(n_customers=3, n_vehicles=3).n_vehicles == 3
+    # vanilla-qrl is the random-angle method, so it cannot also ask for a warm start
+    with pytest.raises(ValueError, match="warm_start"):
+        RunConfig(method="vanilla-qrl")
+    assert not RunConfig(method="vanilla-qrl", warm_start=False).warm_start
+    # types are checked first: a bool is no number, and only an int passes for a float
+    for key, value in (("warm_start", "no"), ("episodes", 2.5), ("seed", True),
+                       ("n_customers", "8"), ("discount", True), ("method", 1),
+                       ("lr_quantum", "0.1"), ("value_baseline", 1)):
+        with pytest.raises(ValueError, match=key):
+            RunConfig(**{key: value})
+    assert RunConfig(discount=1).discount == 1
 
     defaults = RunConfig()
     assert len(defaults.to_dict()) == 13
@@ -109,6 +120,9 @@ def test_policy_hamiltonian_is_complete_graph():
     assert h.n_qubits == 4
     assert sorted((i, j) for i, j, _ in h.terms) == [(0, 1), (0, 2), (0, 3),
                                                      (1, 2), (1, 3), (2, 3)]
+    # below four customers the Hamiltonian is as wide as the subgraph
+    small = policy_hamiltonian(RunConfig(n_customers=3, n_vehicles=1))
+    assert small.n_qubits == 3 and len(small.terms) == 3
 
 
 def test_train_is_deterministic():
@@ -237,6 +251,38 @@ def test_checkpoint_json_round_trip():
     assert _dump(restored) == _dump(ck)
 
 
+def _corrupted(data: dict, path: tuple, value) -> dict:
+    """A copy of checkpoint JSON with the entry at `path` (keys and indices) replaced."""
+    data = json.loads(json.dumps(data))
+    node = data
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return data
+
+
+def test_checkpoint_from_json_rejects_bad_arrays():
+    _, ck = train(TINY)
+    data = checkpoint_to_json(ck)
+    moments = data["optimizer_state"]["m"]
+    cases = [
+        (("qaoa_angles", 0, 1), float("nan"), "qaoa_angles"),
+        (("rotation_angles",), data["rotation_angles"][:1], "rotation_angles"),
+        (("head_weights", "b"), data["head_weights"]["b"][:-1], "head_b"),
+        (("value_params", "w1"), data["value_params"]["w1"][:-1], "value_w1"),
+        (("optimizer_state", "v", "encoder_w", 0, 0), float("inf"),
+         "optimizer_state.v.encoder_w"),
+        (("optimizer_state", "m", "head_b"), moments["head_b"] + [0.0],
+         "optimizer_state.m.head_b"),
+        (("optimizer_state", "m"), {k: v for k, v in moments.items() if k != "qaoa_angles"},
+         "optimizer_state.m"),
+    ]
+    for path, value, field in cases:
+        with pytest.raises(ValueError, match=field):
+            checkpoint_from_json(_corrupted(data, path, value))
+    assert _dump(checkpoint_from_json(data)) == _dump(ck)
+
+
 def test_evaluate_contract():
     config = RunConfig(n_customers=1, n_vehicles=1, episodes=0, seed=2, warmstart_max_iters=10)
     _, ck = train(config)
@@ -282,22 +328,6 @@ def test_metrics_csv_format():
     assert first[0] == "0"
     assert float(first[4]) > 0.0
     assert float(first[1]) == pytest.approx(-float(first[4]), abs=1e-9)
-
-
-def test_convergence_episode_counter():
-    flat = np.full(30, -5.0)
-    assert convergence_episodes(flat, [-10.0]) == [0]
-    assert convergence_episodes(flat, [-1.0]) == [None]
-
-    ramp = np.concatenate([np.full(20, -10.0), np.full(30, -2.0)])
-    counts = convergence_episodes(ramp, [-9.0, -3.0])
-    assert counts[0] is not None and counts[1] is not None
-    assert counts[0] <= counts[1]
-
-    with pytest.raises(ValueError):
-        convergence_episodes(ramp, [-3.0, -9.0])
-    with pytest.raises(ValueError):
-        convergence_episodes(np.array([]), [-1.0])
 
 
 def test_scalability_sweep_structure():

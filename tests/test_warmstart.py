@@ -15,8 +15,8 @@ from hqrl.env import VrpInstance, generate_instance
 from hqrl.policy import init_policy_params
 from hqrl.sim import ZZHamiltonian
 from hqrl.warmstart import (build_cost_hamiltonian, build_subgraph, export_warm_start,
-                            load_warmstart, optimize_angles, qaoa_expectation, run_warmstart,
-                            save_warmstart, warmstart_from_json, warmstart_to_json)
+                            optimize_angles, qaoa_expectation, run_warmstart, save_warmstart,
+                            warmstart_to_json)
 
 
 def _closed_form(w: float, gamma: float, beta: float) -> float:
@@ -70,15 +70,11 @@ def test_cost_hamiltonian_structure():
 
     pair_sub = build_subgraph(generate_instance(2, 1, 3), n_qubits=2)
     pair_h = build_cost_hamiltonian(pair_sub)
+    assert pair_h.n_qubits == 2  # one qubit per subgraph customer
     assert len(pair_h.terms) == 1 and pair_h.terms[0][2] == pytest.approx(1.0)
 
     flat = sorted(sub.pairwise_weights[i, j] for i in range(4) for j in range(i + 1, 4))
     assert sorted(w for _, _, w in h.terms) == pytest.approx(flat)
-
-    wide = build_cost_hamiltonian(sub, n_qubits=6)
-    assert wide.n_qubits == 6 and len(wide.terms) == 6
-    with pytest.raises(ValueError):
-        build_cost_hamiltonian(sub, n_qubits=3)
 
 
 def test_qaoa_expectation_zero_angles_and_bounds():
@@ -193,26 +189,25 @@ def test_export_warm_start_injects_angles_bit_exactly():
 
 def test_export_warm_start_layer_mismatch():
     h = ZZHamiltonian(2, [(0, 1, 1.0)])
-    angles = optimize_angles(h, p=2, max_iters=5, seed=1)
-    rng = np.random.default_rng(0)
-    three_layer = init_policy_params(obs_dim=28, n_actions=8, rng=rng, n_layers=3)
-    with pytest.raises(ValueError):
-        export_warm_start(angles, three_layer)
+    angles = optimize_angles(h, p=3, max_iters=5, seed=1)
+    two_layer = init_policy_params(obs_dim=28, n_actions=8, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="p=3"):
+        export_warm_start(angles, two_layer)
 
 
 def test_warmstart_json_roundtrip(tmp_path):
     instance = generate_instance(8, 2, 7)
     angles, sub = run_warmstart(instance, n_qubits=4, p=2, max_iters=30, seed=7)
-    again = warmstart_from_json(warmstart_to_json(angles, sub, seed=7))
-    np.testing.assert_array_equal(again.gammas, angles.gammas)
-    np.testing.assert_array_equal(again.betas, angles.betas)
-    assert again.final_cost == angles.final_cost
-    assert again.cost_history == angles.cost_history
-
     path = tmp_path / "warmstart.json"
     save_warmstart(angles, sub, 7, path)
-    loaded = load_warmstart(path)
-    np.testing.assert_array_equal(loaded.gammas, angles.gammas)
+    again = json.loads(path.read_text())
+    assert again == warmstart_to_json(angles, sub, seed=7)
+    assert again["p"] == 2 and again["seed"] == 7
+    np.testing.assert_array_equal(again["gammas"], angles.gammas)
+    np.testing.assert_array_equal(again["betas"], angles.betas)
+    assert again["final_cost"] == angles.final_cost
+    assert again["cost_history"] == angles.cost_history
+    assert again["subgraph_indices"] == sub.selected_customers
 
 
 def test_warmstart_json_keeps_evaluation_count():
@@ -220,7 +215,7 @@ def test_warmstart_json_keeps_evaluation_count():
     # objective evaluations; the file carries that count itself.
     instance = generate_instance(8, 2, 7)
     angles, sub = run_warmstart(instance, n_qubits=4, p=2, max_iters=150, seed=7)
-    again = warmstart_from_json(json.loads(json.dumps(warmstart_to_json(angles, sub, seed=7))))
+    again = json.loads(json.dumps(warmstart_to_json(angles, sub, seed=7)))
     assert angles.iterations_used == 150
     assert len(angles.cost_history) < 150
-    assert again.iterations_used == 150
+    assert again["iterations_used"] == 150
