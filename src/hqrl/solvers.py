@@ -1,14 +1,17 @@
-"""Classical route solvers: exact brute force, nearest neighbor, random.
+"""Classical route solvers: exact dynamic programming, nearest neighbor, random.
 
-Brute force enumerates every customer permutation and every split of that
-permutation into consecutive per-vehicle segments, which covers all
-assignments of ordered routes to identical vehicles.  It is the normalization
-denominator for small instances; nearest neighbor takes over past 9 customers.
+The exact solver finds the cheapest set of at most K closed depot tours that
+covers every customer.  Held-Karp gives the cheapest tour of each customer
+subset, and a set-partition DP picks at most K disjoint subsets.  The winning
+tours are then re-scored as a customer sequence cut into consecutive
+per-vehicle segments, so the returned cost carries the rounding of a search
+over every permutation and split.  It is the normalization denominator for
+small instances; nearest neighbor takes over past 9 customers.
 """
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 
@@ -26,71 +29,97 @@ def _distances(instance: VrpInstance) -> tuple[list[float], list[list[float]]]:
 
 
 def brute_force_optimal(instance: VrpInstance) -> tuple[dict[int, list[int]], float]:
-    """Exact optimum by exhaustive search; refuses more than 9 customers."""
+    """Exact optimum by Held-Karp and a set-partition DP; refuses more than 9
+    customers.  Vehicle v serves the v-th tour; vehicles without one get []."""
     n, k = instance.n_customers, instance.n_vehicles
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force is capped at {BRUTE_FORCE_LIMIT} customers, got {n}")
     d0, dmat = _distances(instance)
+    tours = _optimal_tours(n, k, np.array(d0), np.array(dmat))
 
+    # Every sequence that lists the tours back to back, in any order and
+    # orientation, realises this partition; keep the cheapest scoring.
     best_cost = float("inf")
-    best_perm: tuple[int, ...] = ()
-    best_splits: tuple[int, ...] = ()
-    for perm in permutations(range(n)):
-        # seg_cost[i][j]: closed-tour cost of serving perm[i:j] with one vehicle.
-        pref = [0.0]
-        for a, b in zip(perm, perm[1:]):
-            pref.append(pref[-1] + dmat[a][b])
-        # DP over vehicles: cost of covering the first j cities with <= m routes.
-        prev = [0.0] + [float("inf")] * n
-        for _ in range(k):
-            cur = [0.0] + [float("inf")] * n
-            for j in range(1, n + 1):
-                lo = cur[j]
-                for i in range(j):
-                    if prev[i] == float("inf"):
-                        continue
-                    c = prev[i] + d0[perm[i]] + (pref[j - 1] - pref[i]) + d0[perm[j - 1]]
-                    if c < lo:
-                        lo = c
-                cur[j] = min(lo, prev[j])
-            prev = cur
-        if prev[n] < best_cost:
-            best_cost = prev[n]
-            best_perm = perm
-
-    # Recover the split points for the winning permutation.
-    best_routes = _split_routes(best_perm, k, d0, dmat)
-    return best_routes, float(best_cost)
+    for order in permutations(tours):
+        for flips in product((False, True), repeat=len(order)):
+            perm = [c for tour, flip in zip(order, flips) for c in (tour[::-1] if flip else tour)]
+            best_cost = min(best_cost, _split_cost(perm, k, d0, dmat))
+    routes = {v: tours[v] if v < len(tours) else [] for v in range(k)}
+    return routes, float(best_cost)
 
 
-def _split_routes(perm: tuple[int, ...], k: int, d0, dmat) -> dict[int, list[int]]:
+def _split_cost(perm: list[int], k: int, d0, dmat) -> float:
+    """Cheapest cut of ``perm`` into at most k consecutive segments, each a
+    closed depot tour, with leg lengths taken as prefix-sum differences."""
     n = len(perm)
     pref = [0.0]
     for a, b in zip(perm, perm[1:]):
         pref.append(pref[-1] + dmat[a][b])
-
-    def seg(i: int, j: int) -> float:
-        return d0[perm[i]] + (pref[j - 1] - pref[i]) + d0[perm[j - 1]]
-
-    INF = float("inf")
-    cost = [[INF] * (n + 1) for _ in range(k + 1)]
-    choice = [[0] * (n + 1) for _ in range(k + 1)]
-    cost[0][0] = 0.0
-    for m in range(1, k + 1):
-        cost[m][0] = 0.0
+    # DP over vehicles: cost of covering the first j cities with <= m routes.
+    prev = [0.0] + [float("inf")] * n
+    for _ in range(k):
+        cur = [0.0] + [float("inf")] * n
         for j in range(1, n + 1):
-            for i in range(j + 1):
-                c = cost[m - 1][i] + (seg(i, j) if i < j else 0.0)
-                if c < cost[m][j] - 1e-15:
-                    cost[m][j] = c
-                    choice[m][j] = i
-    routes: dict[int, list[int]] = {}
-    j = n
+            lo = cur[j]
+            for i in range(j):
+                if prev[i] == float("inf"):
+                    continue
+                c = prev[i] + d0[perm[i]] + (pref[j - 1] - pref[i]) + d0[perm[j - 1]]
+                if c < lo:
+                    lo = c
+            cur[j] = min(lo, prev[j])
+        prev = cur
+    return prev[n]
+
+
+def _optimal_tours(n: int, k: int, d0: np.ndarray, dmat: np.ndarray) -> list[list[int]]:
+    """Customer orders of at most k depot tours that together serve all n
+    customers at the least total length."""
+    size = 1 << n
+    masks = np.arange(size, dtype=np.int16)
+    bits = 1 << np.arange(n)
+    has = (masks[:, None] & bits) != 0                      # (2^n, n)
+    popcount = has.sum(axis=1)
+
+    # Held-Karp: path[S, j] is the shortest depot -> S path ending at j in S,
+    # and came_from[S, j] the customer visited just before j.
+    path = np.full((size, n), np.inf)
+    came_from = np.zeros((size, n), dtype=int)
+    path[bits, np.arange(n)] = d0
+    for count in range(2, n + 1):
+        layer = masks[popcount == count]
+        before = path[layer[:, None] ^ bits]                # (m, j, i): S \ {j}, ending at i
+        legs = before + dmat.T                              # ... then i -> j
+        came_from[layer] = legs.argmin(axis=2)
+        path[layer] = np.where(has[layer], legs.min(axis=2), np.inf)
+    closed = path + d0
+    tour = closed.min(axis=1)
+
+    # Partition DP: cover[m][S] is the cheapest cover of S by at most m tours.
+    # The tour holding S's lowest customer is T, so each split is counted once.
+    s_of, t_of = np.nonzero(((masks[:, None] & masks) == masks)
+                            & ((masks[:, None] & -masks[:, None] & masks) != 0))
+    starts = np.flatnonzero(np.r_[True, s_of[1:] != s_of[:-1]])
+    cover = [np.r_[0.0, np.full(size - 1, np.inf)]]
+    for _ in range(k):
+        nxt = np.zeros(size)
+        nxt[1:] = np.minimum.reduceat(tour[t_of] + cover[-1][s_of ^ t_of], starts)
+        cover.append(nxt)
+
+    tours, rest = [], size - 1
     for m in range(k, 0, -1):
-        i = choice[m][j]
-        routes[m - 1] = list(perm[i:j])
-        j = i
-    return routes
+        if rest == 0:
+            break
+        options = t_of[s_of == rest]
+        chosen = int(options[np.argmin(tour[options] + cover[m - 1][rest ^ options])])
+        rest ^= chosen
+        # Walk came_from back from the last customer before the depot.
+        end, order = int(closed[chosen].argmin()), []
+        while chosen:
+            order.append(end)
+            chosen, end = chosen ^ (1 << end), int(came_from[chosen, end])
+        tours.append(order[::-1])
+    return tours
 
 
 def nearest_neighbor(instance: VrpInstance) -> tuple[dict[int, list[int]], float]:

@@ -418,18 +418,27 @@ def checkpoint_from_json(data: dict) -> Checkpoint:
         b2=np.array(data["value_params"]["b2"], dtype=float),
     )
     opt = AdamState(
-        step=int(data["optimizer_state"]["step"]),
+        step=_counter(data["optimizer_state"]["step"], "optimizer_state.step"),
         m={k: np.array(v, dtype=float) for k, v in data["optimizer_state"]["m"].items()},
         v={k: np.array(v, dtype=float) for k, v in data["optimizer_state"]["v"].items()},
     )
-    ck = Checkpoint(config, params, vparams, opt, int(data["episode_count"]))
+    ck = Checkpoint(config, params, vparams, opt,
+                    _counter(data["episode_count"], "episode_count"))
     _check_arrays(ck)
     return ck
 
 
+def _counter(value, field: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"checkpoint field {field} must be a non-negative integer, "
+                         f"got {value!r}")
+    return value
+
+
 def _check_arrays(ck: Checkpoint) -> None:
     """Parameters and Adam moments must be finite and shaped like a fresh init
-    for the config's (n_customers, n_vehicles); names follow adam_init's keys."""
+    for the config's (n_customers, n_vehicles), and second moments >= 0; names
+    follow adam_init's keys."""
     obs_dim = state_dim(ck.config.n_customers, ck.config.n_vehicles)
     rng = np.random.default_rng(0)
     fresh = adam_init(init_policy_params(obs_dim, ck.config.n_customers, rng),
@@ -445,6 +454,10 @@ def _check_arrays(ck: Checkpoint) -> None:
             if array.shape != fresh[key].shape or not np.all(np.isfinite(array)):
                 raise ValueError(f"checkpoint field {where}{key} must be finite with shape "
                                  f"{fresh[key].shape}, got shape {array.shape}")
+    for key, array in ck.opt.v.items():
+        if np.any(array < 0):
+            raise ValueError(f"checkpoint field optimizer_state.v.{key} must be >= 0, "
+                             f"got {float(array.min())!r}")
 
 
 def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:

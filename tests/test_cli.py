@@ -297,3 +297,26 @@ def test_evaluate_rejects_bad_checkpoint_arrays_with_exit_3(tmp_path, capsys, mo
                      str(run / "instance.json"), "--out", str(out)]) == 3
         assert field in _last_error(capsys)["detail"]
         assert not (out / "routes.json").exists()
+
+
+def test_finetune_rejects_bad_checkpoint_counters_with_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("HQRL_SEED", raising=False)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(_tiny_config(tmp_path)), "--out", str(run)]) == 0
+    capsys.readouterr()
+    ck = json.loads((run / "checkpoint.json").read_text())
+
+    negative_step = json.loads(json.dumps(ck))
+    negative_step["optimizer_state"]["step"] = -1
+    negative_moment = json.loads(json.dumps(ck))
+    negative_moment["optimizer_state"]["v"]["head_b"][0] = -1.0
+    for label, data, field in (("step", negative_step, "optimizer_state.step"),
+                               ("moment", negative_moment, "optimizer_state.v.head_b"),
+                               ("count", {**ck, "episode_count": 2.7}, "episode_count")):
+        path = tmp_path / f"{label}.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / f"tuned_{label}"
+        assert main(["finetune", "--checkpoint", str(path), "--episodes", "3",
+                     "--out", str(out)]) == 3
+        assert field in _last_error(capsys)["detail"]
+        assert not out.exists()

@@ -1,19 +1,28 @@
-"""Solver checks against a second, independent exhaustive implementation.
+"""Solver checks against two exhaustive implementations.
 
-The oracle below enumerates every customer permutation and every way to cut
+enumerate_optimal enumerates every customer permutation and every way to cut
 it into per-vehicle segments, scoring each candidate with env.route_cost.
-It shares no arithmetic with the production search, so agreement on random
+It shares no arithmetic with the production solver, so agreement on random
 instances is a genuine double-implementation check.
+
+permutation_search is the exhaustive search the dynamic-programming solver
+replaced.  Its costs are the ones earlier results were normalized by, so the
+solver must reproduce them bit for bit, not just to a tolerance.
 """
 
 from itertools import combinations_with_replacement, permutations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hqrl.env import VrpInstance, generate_instance, route_cost
-from hqrl.solvers import (BRUTE_FORCE_LIMIT, brute_force_optimal, nearest_neighbor, oracle_cost,
-                          random_policy_rollout)
+from hqrl.solvers import (BRUTE_FORCE_LIMIT, _distances, brute_force_optimal, nearest_neighbor,
+                          oracle_cost, random_policy_rollout)
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
 
 def enumerate_optimal(instance: VrpInstance) -> float:
@@ -28,6 +37,36 @@ def enumerate_optimal(instance: VrpInstance) -> float:
                 continue
             best = min(best, route_cost(instance, routes))
     return best
+
+
+def permutation_search(instance: VrpInstance) -> float:
+    """Every customer permutation, each cut by a DP into at most K segments."""
+    n, k = instance.n_customers, instance.n_vehicles
+    d0, dmat = _distances(instance)
+
+    best_cost = float("inf")
+    for perm in permutations(range(n)):
+        # seg_cost[i][j]: closed-tour cost of serving perm[i:j] with one vehicle.
+        pref = [0.0]
+        for a, b in zip(perm, perm[1:]):
+            pref.append(pref[-1] + dmat[a][b])
+        # DP over vehicles: cost of covering the first j cities with <= m routes.
+        prev = [0.0] + [float("inf")] * n
+        for _ in range(k):
+            cur = [0.0] + [float("inf")] * n
+            for j in range(1, n + 1):
+                lo = cur[j]
+                for i in range(j):
+                    if prev[i] == float("inf"):
+                        continue
+                    c = prev[i] + d0[perm[i]] + (pref[j - 1] - pref[i]) + d0[perm[j - 1]]
+                    if c < lo:
+                        lo = c
+                cur[j] = min(lo, prev[j])
+            prev = cur
+        if prev[n] < best_cost:
+            best_cost = prev[n]
+    return float(best_cost)
 
 
 def _crafted(depot, customers, n_vehicles=1) -> VrpInstance:
@@ -63,6 +102,44 @@ def test_brute_force_agrees_with_independent_enumeration():
         routes, cost = brute_force_optimal(instance)
         assert cost == pytest.approx(route_cost(instance, routes), abs=1e-12)
         assert cost == pytest.approx(enumerate_optimal(instance), abs=1e-12)
+
+
+def test_brute_force_cost_equals_permutation_search_bit_for_bit():
+    rng = np.random.default_rng(23)
+    instances = []
+    for trial in range(204):  # 34 per size; the search takes ~0.1 s at N=7
+        n = 2 + trial % 6
+        instances.append(generate_instance(n, int(rng.integers(1, min(n, 3) + 1)),
+                                           int(rng.integers(2**31))))
+    for k in (1, 2, 3):  # ~1.3 s each
+        instances.append(generate_instance(8, k, int(rng.integers(2**31))))
+    for trial in range(40):  # half-unit grids: ties between tours and splits
+        n = int(rng.integers(2, 7))
+        points = rng.integers(0, 3, size=(n + 1, 2)) / 2.0
+        instances.append(VrpInstance(n, int(rng.integers(1, n + 1)), points[0], points[1:], 0))
+    instances.append(generate_instance(9, 2, 3))  # ~10 s; oracle_cost's largest exact case
+    for instance in instances:
+        assert brute_force_optimal(instance)[1] == permutation_search(instance)
+
+
+@st.composite
+def small_instances(draw) -> VrpInstance:
+    n = draw(st.integers(1, 8))
+    k = draw(st.integers(1, min(n, 3)))
+    points = draw(arrays(np.float64, (n + 1, 2), elements=st.floats(0.0, 1.0)))
+    return VrpInstance(n, k, points[0], points[1:], 0)
+
+
+@PROPERTY
+@given(instance=small_instances(), seed=st.integers(0, 2**32 - 1))
+def test_brute_force_routes_partition_and_bound_heuristics(instance, seed):
+    routes, cost = brute_force_optimal(instance)
+    assert sorted(routes) == list(range(instance.n_vehicles))
+    served = sorted(c for cities in routes.values() for c in cities)
+    assert served == list(range(instance.n_customers))
+    assert abs(route_cost(instance, routes) - cost) <= 1e-12
+    assert cost <= nearest_neighbor(instance)[1] + 1e-12
+    assert cost <= random_policy_rollout(instance, seed)[1] + 1e-12
 
 
 def test_nearest_neighbor_single_customer_is_optimal():

@@ -276,6 +276,13 @@ def test_checkpoint_from_json_rejects_bad_arrays():
          "optimizer_state.m.head_b"),
         (("optimizer_state", "m"), {k: v for k, v in moments.items() if k != "qaoa_angles"},
          "optimizer_state.m"),
+        (("optimizer_state", "v", "qaoa_angles", 0, 0), -1e-3, "optimizer_state.v.qaoa_angles"),
+        (("optimizer_state", "step"), -1, "optimizer_state.step"),
+        (("optimizer_state", "step"), 2.7, "optimizer_state.step"),
+        (("optimizer_state", "step"), True, "optimizer_state.step"),
+        (("episode_count",), 2.7, "episode_count"),
+        (("episode_count",), -3, "episode_count"),
+        (("episode_count",), "3", "episode_count"),
     ]
     for path, value, field in cases:
         with pytest.raises(ValueError, match=field):
