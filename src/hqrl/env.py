@@ -44,6 +44,7 @@ class StepOutcome:
     state: EnvState
     reward: float
     done: bool
+    vehicle: int  # the vehicle that served the city; -1 on a penalty step
 
 
 @dataclass
@@ -118,7 +119,7 @@ def step(instance: VrpInstance, state: EnvState, action: int, rule: str = "neare
         # No movement; the step is burned and the flat penalty applies.
         nxt = EnvState(state.vehicle_positions.copy(), state.visited.copy(),
                        state.step_count + 1, False)
-        return StepOutcome(nxt, -penalty, False)
+        return StepOutcome(nxt, -penalty, False, -1)
 
     k = select_vehicle(state, instance, action, rule)
     target = instance.customers[action]
@@ -134,7 +135,7 @@ def step(instance: VrpInstance, state: EnvState, action: int, rule: str = "neare
     if done:
         reward -= float(np.linalg.norm(positions - instance.depot, axis=1).sum())
     nxt = EnvState(positions, visited, state.step_count + 1, done)
-    return StepOutcome(nxt, reward, done)
+    return StepOutcome(nxt, reward, done, k)
 
 
 def discounted_returns(rewards: np.ndarray, gamma: float = DISCOUNT) -> tuple[np.ndarray, np.ndarray]:

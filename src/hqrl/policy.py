@@ -7,12 +7,12 @@ the warm-start Hamiltonian scaled by gamma_l, and a mixer scaled by beta_l.
 Per-qubit <Z> readouts feed a linear head whose masked softmax is the action
 distribution.
 
-Everything after the data layer is compiled once per update into one 16x16
-map V(theta); a forward pass is the data layer's product state times V.
-Gradients for circuit angles come from the parameter-shift rule with one
-slot per gate, for a whole episode at once through the +/- pi/2 shifted
-maps; shared angles (gamma_l, beta_l, encoder outputs) are chained through
-the per-gate slots analytically.
+Everything after the data layer is compiled into one 16x16 map V(theta), in
+training once per episode, shared by the rollout and the gradient pass; a
+forward pass is the data layer's product state times V.  Circuit-angle
+gradients come from the parameter-shift rule with one slot per gate, for a
+whole episode at once through the +/- pi/2 shifted maps; shared angles
+(gamma_l, beta_l, encoder outputs) are chained through the slots analytically.
 """
 
 from __future__ import annotations
@@ -153,9 +153,16 @@ def _tail_angles(params: PolicyParams, h_policy: ZZHamiltonian) -> np.ndarray:
 
 def compile_policy(params: PolicyParams, h_policy: ZZHamiltonian) -> np.ndarray:
     """V(theta): every gate after the data layer as one matrix on row states
-    (see sim.circuit_map).  Valid until the parameters next change."""
+    (see sim.circuit_map), valid until the parameters change.  Training takes V,
+    bit-equal, from _shift_maps, once per episode for the rollout and gradients."""
     _, _, tail = _circuit_template(tuple(h_policy.terms))
     return circuit_map(tail, _tail_angles(params, h_policy), N_QUBITS)
+
+
+def _shift_maps(params: PolicyParams, h_policy: ZZHamiltonian):
+    """V(theta) and its +/- pi/2 shifted maps (sim.parameter_shift_maps)."""
+    _, _, tail = _circuit_template(tuple(h_policy.terms))
+    return parameter_shift_maps(tail, _tail_angles(params, h_policy), N_QUBITS)
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -185,11 +192,14 @@ def policy_forward(state_vec: np.ndarray, params: PolicyParams, h_policy: ZZHami
 
 def sample_action(dist: ActionDistribution, rng: np.random.Generator,
                   greedy: bool = False) -> int:
-    """Draw from the distribution, or argmax (lowest index wins ties)."""
+    """Draw as rng.choice(p.size, p=p) draws, without its checks, or take the
+    argmax (lowest index wins ties)."""
     if greedy:
         return int(np.argmax(dist.probabilities))
     p = dist.probabilities / dist.probabilities.sum()
-    return int(rng.choice(p.size, p=p))
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def value_forward(state_vec: np.ndarray, vparams: ValueParams) -> float:
@@ -227,6 +237,13 @@ def reinforce_gradients(trajectory, params: PolicyParams, vparams: ValueParams,
     keyed like the parameter fields.  All steps of the episode go through the
     circuit maps, compiled once, in one batched product.
     """
+    return _reinforce_gradients(trajectory, params, vparams, h_policy,
+                                _shift_maps(params, h_policy), value_baseline)
+
+
+def _reinforce_gradients(trajectory, params: PolicyParams, vparams: ValueParams,
+                         h_policy: ZZHamiltonian, maps, value_baseline: bool):
+    """reinforce_gradients with V(theta) and its shifted maps already built."""
     states = np.asarray(trajectory.states, dtype=float)
     actions = np.asarray(trajectory.actions, dtype=int)
     targets = np.asarray(trajectory.normalized_returns, dtype=float)
@@ -248,8 +265,8 @@ def reinforce_gradients(trajectory, params: PolicyParams, vparams: ValueParams,
         value_loss = 0.0
         advantage = targets
 
-    _, spec, tail_circuit = _circuit_template(tuple(h_policy.terms))
-    tail, shifted = parameter_shift_maps(tail_circuit, _tail_angles(params, h_policy), N_QUBITS)
+    _, spec, _ = _circuit_template(tuple(h_policy.terms))
+    tail, shifted = maps
     pre = states @ params.encoder_w.T + params.encoder_b
     z, dz_dslot = _readout_gradients(np.pi * np.tanh(pre), tail, shifted)
     logits = z @ params.head_w.T + params.head_b

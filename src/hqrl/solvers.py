@@ -15,7 +15,7 @@ from itertools import permutations, product
 
 import numpy as np
 
-from .env import VrpInstance, reset, route_cost, select_vehicle, step, valid_action_mask
+from .env import VrpInstance, reset, route_cost, step, valid_action_mask
 
 BRUTE_FORCE_LIMIT = 9
 
@@ -154,8 +154,8 @@ def random_policy_rollout(instance: VrpInstance, seed: int,
     while not state.done:
         valid = np.flatnonzero(valid_action_mask(state))
         action = int(rng.choice(valid))
-        routes[select_vehicle(state, instance, action, rule)].append(action)
         outcome = step(instance, state, action, rule)
+        routes[outcome.vehicle].append(action)
         total += outcome.reward
         state = outcome.state
     return routes, -total

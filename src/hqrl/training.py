@@ -9,18 +9,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields, replace
+from math import comb
 from pathlib import Path
 
 import numpy as np
 
 from . import solvers
 from .env import (DISCOUNT, INVALID_PENALTY, VEHICLE_RULES, Trajectory, VrpInstance,
-                  discounted_returns, encode_state, generate_instance, reset, select_vehicle,
-                  state_dim, step, valid_action_mask)
-from .policy import (N_LAYERS, N_QUBITS, AdamState, PolicyParams, ValueParams, adam_init,
-                     apply_update, compile_policy, compiled_forward, init_policy_params,
-                     init_value_params, policy_circuit_for_size, reinforce_gradients,
-                     sample_action)
+                  discounted_returns, encode_state, generate_instance, reset, state_dim, step,
+                  valid_action_mask)
+from .policy import (N_LAYERS, N_QUBITS, AdamState, PolicyParams, ValueParams,
+                     _reinforce_gradients, _shift_maps, adam_init, apply_update, compile_policy,
+                     compiled_forward, init_policy_params, init_value_params,
+                     policy_circuit_for_size, sample_action)
 from .sim import ZZHamiltonian, circuit_metrics
 from .warmstart import (MAX_ITERS, build_cost_hamiltonian, build_subgraph, export_warm_start,
                         optimize_angles)
@@ -128,18 +129,28 @@ class EvalResult:
     total_reward: float
 
 
+def _problem(config: RunConfig) -> tuple[VrpInstance, ZZHamiltonian]:
+    """The config seed's instance and the policy Hamiltonian built on it."""
+    instance = generate_instance(config.n_customers, config.n_vehicles, config.seed)
+    return instance, build_cost_hamiltonian(build_subgraph(instance, N_QUBITS))
+
+
 def policy_hamiltonian(config: RunConfig) -> ZZHamiltonian:
     """Cost Hamiltonian of the policy's cost layers and of the warm start that
     seeds their angles, rebuilt from the config seed."""
-    instance = generate_instance(config.n_customers, config.n_vehicles, config.seed)
-    return build_cost_hamiltonian(build_subgraph(instance, N_QUBITS))
+    return _problem(config)[1]
 
 
 def rollout(instance: VrpInstance, params: PolicyParams, h_policy: ZZHamiltonian,
             rng: np.random.Generator, greedy: bool = False, rule: str = "nearest",
             discount: float = DISCOUNT, penalty: float = INVALID_PENALTY):
     """One masked episode; returns (trajectory, routes, total_reward, cost)."""
-    tail = compile_policy(params, h_policy)
+    return _rollout(instance, params, compile_policy(params, h_policy), rng, greedy, rule,
+                    discount, penalty)
+
+
+def _rollout(instance, params, tail, rng, greedy, rule, discount, penalty):
+    """rollout on V(theta) already compiled (tail)."""
     state = reset(instance)
     states, actions, rewards = [], [], []
     routes: dict[int, list[int]] = {v: [] for v in range(instance.n_vehicles)}
@@ -149,8 +160,8 @@ def rollout(instance: VrpInstance, params: PolicyParams, h_policy: ZZHamiltonian
         mask = valid_action_mask(state)
         dist = compiled_forward(obs, params, tail, mask)
         action = sample_action(dist, rng, greedy=greedy)
-        routes[select_vehicle(state, instance, action, rule)].append(action)
         outcome = step(instance, state, action, rule, penalty=penalty)
+        routes[outcome.vehicle].append(action)
         states.append(obs)
         actions.append(action)
         rewards.append(outcome.reward)
@@ -163,34 +174,33 @@ def rollout(instance: VrpInstance, params: PolicyParams, h_policy: ZZHamiltonian
     return traj, routes, total, cost
 
 
-def _init_checkpoint(config: RunConfig) -> Checkpoint:
+def _init_checkpoint(config: RunConfig, h_policy: ZZHamiltonian) -> Checkpoint:
     obs_dim = state_dim(config.n_customers, config.n_vehicles)
     rng = np.random.default_rng([config.seed, 0])
     params = init_policy_params(obs_dim, config.n_customers, rng)
     vparams = init_value_params(obs_dim, rng)
 
     if config.warm_start:
-        angles = optimize_angles(policy_hamiltonian(config), N_LAYERS,
-                                 config.warmstart_max_iters, config.seed)
+        angles = optimize_angles(h_policy, N_LAYERS, config.warmstart_max_iters, config.seed)
         params = export_warm_start(angles, params)
     return Checkpoint(config, params, vparams, adam_init(params, vparams), 0)
 
 
-def _run_episodes(ck: Checkpoint, episodes: int) -> tuple[TrainingLog, Checkpoint]:
+def _run_episodes(ck: Checkpoint, instance: VrpInstance,
+                  h_policy: ZZHamiltonian) -> tuple[TrainingLog, Checkpoint]:
+    """The config's episodes; each compiles V(theta) once, for rollout and gradients."""
     config = ck.config
-    instance = generate_instance(config.n_customers, config.n_vehicles, config.seed)
-    h_policy = policy_hamiltonian(config)
     rng = np.random.default_rng([config.seed, 1])
     params, vparams, opt = ck.params, ck.vparams, ck.opt
 
     records: list[EpisodeRecord] = []
-    for episode in range(episodes):
-        traj, routes, total, cost = rollout(instance, params, h_policy, rng,
-                                            rule=config.vehicle_rule,
-                                            discount=config.discount,
-                                            penalty=config.invalid_penalty)
-        pg, vg, ploss, vloss = reinforce_gradients(traj, params, vparams, h_policy,
-                                                   config.value_baseline)
+    for episode in range(config.episodes):
+        maps = _shift_maps(params, h_policy)
+        traj, _, total, cost = _rollout(instance, params, maps[0], rng, False,
+                                        config.vehicle_rule, config.discount,
+                                        config.invalid_penalty)
+        pg, vg, ploss, vloss = _reinforce_gradients(traj, params, vparams, h_policy, maps,
+                                                    config.value_baseline)
         if not (np.isfinite(ploss) and np.isfinite(vloss)):
             raise RuntimeError(f"non-finite loss at episode {episode}: "
                                f"policy={ploss}, value={vloss}")
@@ -198,14 +208,14 @@ def _run_episodes(ck: Checkpoint, episodes: int) -> tuple[TrainingLog, Checkpoin
                                             config.lr_quantum, config.lr_classical)
         records.append(EpisodeRecord(episode, total, ploss, vloss, cost))
 
-    new_ck = Checkpoint(config, params, vparams, opt, ck.episode_count + episodes)
+    new_ck = Checkpoint(config, params, vparams, opt, ck.episode_count + config.episodes)
     return TrainingLog(records, peak_memory_estimate(new_ck)), new_ck
 
 
 def train(config: RunConfig) -> tuple[TrainingLog, Checkpoint]:
     """REINFORCE on one seeded instance; episodes=0 yields an empty log."""
-    ck = _init_checkpoint(config)
-    return _run_episodes(ck, config.episodes)
+    instance, h_policy = _problem(config)
+    return _run_episodes(_init_checkpoint(config, h_policy), instance, h_policy)
 
 
 def transfer_params(ck: Checkpoint, new_config: RunConfig) -> Checkpoint:
@@ -256,8 +266,7 @@ def _transfer_obs_matrix(w_old: np.ndarray, w_fresh: np.ndarray, old: RunConfig,
 
 def finetune(ck: Checkpoint, new_config: RunConfig) -> tuple[TrainingLog, Checkpoint]:
     """Transfer to a new size and keep training (default budget 40 episodes)."""
-    moved = transfer_params(ck, new_config)
-    return _run_episodes(moved, new_config.episodes)
+    return _run_episodes(transfer_params(ck, new_config), *_problem(new_config))
 
 
 def evaluate(ck: Checkpoint, instance: VrpInstance) -> EvalResult:
@@ -285,8 +294,8 @@ def peak_memory_estimate(ck: Checkpoint) -> int:
     the interpreter and numpy, uses far more."""
     param_bytes = sum(int(getattr(group, f.name).nbytes)
                       for group in (ck.params, ck.vparams) for f in fields(group))
-    circuit, _ = policy_circuit_for_size(ck.params, policy_hamiltonian(ck.config))
-    n_slots, dim = len(circuit), 2**N_QUBITS  # one slot per gate
+    rzz = comb(min(N_QUBITS, ck.config.n_customers), 2)  # one per subgraph pair
+    n_slots, dim = N_QUBITS + N_LAYERS * (3 * N_QUBITS + rzz), 2**N_QUBITS  # one per gate
     map_bytes = 16 * dim * dim * 3 * (n_slots - N_QUBITS)
     state_bytes = 16 * dim * ck.config.n_customers * (2 * n_slots + 1)
     return 3 * param_bytes + map_bytes + state_bytes
@@ -338,10 +347,9 @@ def scalability_sweep(sizes: list[int], config: RunConfig) -> list[ComparisonRow
             cfg = replace(config, method=method, n_customers=size,
                           warm_start=method == "hqrl-qaoa")
             log, ck = train(cfg)
-            instance = generate_instance(size, cfg.n_vehicles, cfg.seed)
+            instance, h_policy = _problem(cfg)
             result = evaluate(ck, instance)
-            metrics = circuit_metrics(policy_circuit_for_size(ck.params,
-                                                              policy_hamiltonian(cfg))[0])
+            metrics = circuit_metrics(policy_circuit_for_size(ck.params, h_policy)[0])
             rows.append(ComparisonRow(method, size, result.normalized_cost,
                                       metrics.qubit_count, metrics.depth,
                                       log.peak_mem_bytes))

@@ -225,6 +225,25 @@ def test_reward_telescopes_to_route_cost():
         assert -total == pytest.approx(route_cost(instance, routes), abs=1e-9)
 
 
+def test_step_reports_the_vehicle_that_served_the_city():
+    rng = np.random.default_rng(33)
+    for rule in ("nearest", "round-robin"):
+        for seed in range(10):
+            instance = generate_instance(7, 3, seed)
+            state = reset(instance)
+            while not state.done:
+                action = int(rng.choice(np.flatnonzero(valid_action_mask(state))))
+                expected = select_vehicle(state, instance, action, rule)
+                outcome = step(instance, state, action, rule)
+                assert outcome.vehicle == expected
+                np.testing.assert_array_equal(outcome.state.vehicle_positions[expected],
+                                              instance.customers[action])
+                state = outcome.state
+    instance = generate_instance(4, 2, 1)
+    served = step(instance, reset(instance), 2).state
+    assert step(instance, served, 2).vehicle == -1  # penalty step: nobody moves
+
+
 def test_masked_play_never_revisits_and_runs_n_steps():
     rng = np.random.default_rng(100)
     for seed in range(100):

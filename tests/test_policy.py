@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 
 from hqrl.env import Trajectory, encode_state, generate_instance, reset, state_dim, step, valid_action_mask
-from hqrl.policy import (ENCODER_SEED, action_codes, adam_init, apply_update, encode_observation,
-                         init_policy_params, init_value_params, masked_softmax, policy_circuit_for_size,
-                         policy_forward, reinforce_gradients, sample_action, value_forward)
+from hqrl.policy import (ENCODER_SEED, ActionDistribution, action_codes, adam_init, apply_update,
+                         encode_observation, init_policy_params, init_value_params, masked_softmax,
+                         policy_circuit_for_size, policy_forward, reinforce_gradients, sample_action,
+                         value_forward)
 from hqrl.sim import ZZHamiltonian, circuit_metrics
 from hqrl.training import RunConfig, policy_hamiltonian
 
@@ -157,6 +158,24 @@ def test_sample_action_statistics():
 
     tied = replace(dist, probabilities=np.array([0.3, 0.3, 0.2, 0.0, 0.2]))
     assert sample_action(tied, draw_rng, greedy=True) == 0  # lowest index wins the tie
+
+
+def test_sample_action_draws_exactly_like_rng_choice():
+    """The inlined draw picks the index rng.choice(p.size, p=p) picks and
+    leaves the stream in the same state, over random masked distributions
+    from flat to nearly one-hot."""
+    gen = np.random.default_rng(2024)
+    ours, numpy_choice = np.random.default_rng(5), np.random.default_rng(5)
+    for _ in range(20_000):
+        size = int(gen.integers(1, 26))
+        mask = gen.random(size) < gen.random()
+        mask[gen.integers(size)] = True
+        logits = gen.normal(0.0, gen.choice([0.01, 1.0, 10.0, 100.0]), size)
+        dist = ActionDistribution(masked_softmax(logits, mask))
+        p = dist.probabilities / dist.probabilities.sum()
+        for _ in range(3):
+            assert sample_action(dist, ours) == numpy_choice.choice(p.size, p=p)
+    assert ours.bit_generator.state == numpy_choice.bit_generator.state
 
 
 def test_value_forward_contract():

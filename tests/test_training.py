@@ -3,16 +3,25 @@ checkpoint serialization, parameter transfer between problem sizes, and the
 structure of the comparison, sweep, and ablation tables."""
 
 import json
+import sys
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hqrl.env import generate_instance, route_cost, state_dim
-from hqrl.policy import (ENCODER_SCALE, ENCODER_SEED, action_codes,
-                         init_policy_params, init_value_params)
+from hqrl import policy
+from hqrl.env import (VEHICLE_RULES, encode_state, generate_instance, reset, route_cost,
+                      select_vehicle, state_dim, step, valid_action_mask)
+from hqrl.policy import (ENCODER_SCALE, ENCODER_SEED, N_LAYERS, N_QUBITS, PolicyParams,
+                         action_codes, apply_update, init_policy_params, init_value_params,
+                         policy_circuit_for_size, reinforce_gradients)
 from hqrl.sim import ZZHamiltonian
 from hqrl.solvers import brute_force_optimal
-from hqrl.training import (FINETUNE_EPISODES, RunConfig, ablate, checkpoint_from_json,
+from hqrl.training import (FINETUNE_EPISODES, TRAINED_METHODS, Checkpoint, EpisodeRecord,
+                           RunConfig, _init_checkpoint, ablate, checkpoint_from_json,
                            checkpoint_to_json, config_from_dict, evaluate, finetune,
                            metrics_to_csv, peak_memory_estimate, policy_hamiltonian, rollout,
                            scalability_sweep, train, transfer_params)
@@ -151,6 +160,105 @@ def test_rollout_reward_cost_duality():
         assert cost == pytest.approx(route_cost(instance, routes), abs=1e-9)
         assert -total_reward == pytest.approx(cost, abs=1e-9)
         assert len(traj.actions) == 6
+
+
+ROLLOUT_PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+SHAPES = st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, min(n, 3))))
+
+
+def _random_params(n_customers, n_vehicles, seed):
+    """Every policy parameter drawn at random, angles over a full turn, so the
+    action distributions range from flat to nearly one-hot."""
+    rng = np.random.default_rng(seed)
+    obs_dim = state_dim(n_customers, n_vehicles)
+    return PolicyParams(encoder_w=rng.normal(0.0, 1.0, (N_QUBITS, obs_dim)),
+                        encoder_b=rng.normal(0.0, 1.0, N_QUBITS),
+                        rotation_angles=rng.uniform(-np.pi, np.pi, (N_LAYERS, N_QUBITS, 2)),
+                        qaoa_angles=rng.uniform(-np.pi, np.pi, (N_LAYERS, 2)),
+                        head_w=rng.normal(0.0, 3.0, (n_customers, N_QUBITS)),
+                        head_b=rng.normal(0.0, 1.0, n_customers))
+
+
+@ROLLOUT_PROPERTY
+@given(shape=SHAPES, instance_seed=st.integers(0, 2**31 - 1), rule=st.sampled_from(VEHICLE_RULES),
+       param_seed=st.integers(0, 2**31 - 1), greedy=st.booleans())
+def test_rollout_replays_through_the_environment(shape, instance_seed, rule, param_seed, greedy):
+    """Every action was valid under the mask, the routes are the vehicles the
+    environment chose and partition the customers, and the rewards telescope
+    to the route cost."""
+    n, k = shape
+    instance = generate_instance(n, k, instance_seed)
+    config = RunConfig(n_customers=n, n_vehicles=k, seed=instance_seed)
+    traj, routes, total, cost = rollout(instance, _random_params(n, k, param_seed),
+                                        policy_hamiltonian(config),
+                                        np.random.default_rng(param_seed), greedy=greedy,
+                                        rule=rule)
+    state, replayed = reset(instance), {v: [] for v in range(k)}
+    for obs, action, reward in zip(traj.states, traj.actions.tolist(), traj.rewards.tolist()):
+        np.testing.assert_array_equal(obs, encode_state(instance, state))
+        assert valid_action_mask(state)[action]
+        replayed[select_vehicle(state, instance, action, rule)].append(action)
+        outcome = step(instance, state, action, rule)
+        assert outcome.reward == reward
+        state = outcome.state
+    assert state.done and len(traj.actions) == n
+    assert routes == replayed
+    assert sorted(c for cities in routes.values() for c in cities) == list(range(n))
+    assert abs(route_cost(instance, routes) - cost) <= 1e-12
+    assert -np.add.accumulate(traj.rewards)[-1] == cost == -total  # summed left to right
+
+
+def _public_loop(config):
+    """train's episodes spelled out with the public rollout, reinforce_gradients
+    and apply_update, each compiling its own circuit maps."""
+    instance = generate_instance(config.n_customers, config.n_vehicles, config.seed)
+    h_policy = policy_hamiltonian(config)
+    ck = _init_checkpoint(config, h_policy)
+    params, vparams, opt = ck.params, ck.vparams, ck.opt
+    rng = np.random.default_rng([config.seed, 1])
+    records = []
+    for episode in range(config.episodes):
+        traj, _, total, cost = rollout(instance, params, h_policy, rng,
+                                       rule=config.vehicle_rule, discount=config.discount,
+                                       penalty=config.invalid_penalty)
+        pg, vg, ploss, vloss = reinforce_gradients(traj, params, vparams, h_policy,
+                                                   config.value_baseline)
+        params, vparams, opt = apply_update(params, vparams, pg, vg, opt,
+                                            config.lr_quantum, config.lr_classical)
+        records.append(EpisodeRecord(episode, total, ploss, vloss, cost))
+    return records, Checkpoint(config, params, vparams, opt, config.episodes)
+
+
+@pytest.mark.parametrize("method, rule", zip(TRAINED_METHODS, VEHICLE_RULES))
+def test_train_equals_the_loop_over_public_functions(method, rule):
+    config = RunConfig(method=method, n_customers=5, n_vehicles=2, episodes=20, seed=19,
+                       warm_start=method == "hqrl-qaoa", warmstart_max_iters=25,
+                       vehicle_rule=rule)
+    log, ck = train(config)
+    records, expected = _public_loop(config)
+    assert log.records == records
+    assert _dump(ck) == _dump(expected)
+
+
+def test_train_builds_the_instance_once_and_the_circuit_maps_once_per_episode(monkeypatch):
+    calls = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+
+    # every module that binds generate_instance, and where the policy compiles its circuit
+    for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "hqrl"]:
+        if getattr(module, "generate_instance", None) is generate_instance:
+            count(module, "generate_instance")
+    count(policy, "parameter_shift_maps")
+    count(policy, "circuit_map")
+    train(replace(TINY, episodes=7))
+    assert calls == {"generate_instance": 1, "parameter_shift_maps": 7}
 
 
 def test_transfer_rebuilds_encoder_blockwise():
@@ -379,6 +487,15 @@ def test_peak_memory_estimate():
     assert estimate > 0
     assert estimate == peak_memory_estimate(ck)
     assert estimate < 10_000_000  # four qubits stay tiny
+    # the slot count in the formula is the policy circuit's gate count
+    for n, k in ((1, 1), (2, 1), (3, 2), (4, 2), (9, 3)):
+        ck = Checkpoint(RunConfig(n_customers=n, n_vehicles=k),
+                        init_policy_params(state_dim(n, k), n, np.random.default_rng(0)),
+                        init_value_params(state_dim(n, k), np.random.default_rng(1)), None, 0)
+        n_slots = len(policy_circuit_for_size(ck.params, policy_hamiltonian(ck.config))[0])
+        param_bytes = sum(a.nbytes for a in (*vars(ck.params).values(), *vars(ck.vparams).values()))
+        assert peak_memory_estimate(ck) == (3 * param_bytes + 16 * 16**2 * 3 * (n_slots - N_QUBITS)
+                                            + 16 * 16 * n * (2 * n_slots + 1))
 
 
 def test_finetune_episode_preset():
