@@ -204,12 +204,15 @@ def _coordinates(data: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
 
 def instance_from_json(data: dict) -> VrpInstance:
     """Inverse of instance_to_json; a malformed file raises ValueError naming the field."""
-    n_customers, n_vehicles = int(data["n_customers"]), int(data["n_vehicles"])
+    for key in ("n_customers", "n_vehicles", "seed"):
+        if isinstance(data[key], bool) or not isinstance(data[key], int):
+            raise ValueError(f"instance field {key!r} = {data[key]!r} is not an integer")
+    n_customers, n_vehicles = data["n_customers"], data["n_vehicles"]
     if not 1 <= n_vehicles <= n_customers:
         raise ValueError(f"instance field 'n_vehicles' = {n_vehicles} is outside "
                          f"[1, n_customers={n_customers}]")
     return VrpInstance(n_customers, n_vehicles, _coordinates(data, "depot", (2,)),
-                       _coordinates(data, "customers", (n_customers, 2)), int(data["seed"]))
+                       _coordinates(data, "customers", (n_customers, 2)), data["seed"])
 
 
 def save_instance(instance: VrpInstance, path: str | Path) -> None:

@@ -1,17 +1,15 @@
 """Classical route solvers: exact dynamic programming, nearest neighbor, random.
 
-The exact solver finds the cheapest set of at most K closed depot tours that
-covers every customer.  Held-Karp gives the cheapest tour of each customer
-subset, and a set-partition DP picks at most K disjoint subsets.  The winning
-tours are then re-scored as a customer sequence cut into consecutive
-per-vehicle segments, so the returned cost carries the rounding of a search
-over every permutation and split.  It is the normalization denominator for
-small instances; nearest neighbor takes over past 9 customers.
+Vehicles have no capacity and depot legs obey the triangle inequality, so
+joining two depot tours end to start never makes them longer: the shortest
+single closed tour is optimal for every vehicle count K.  The exact solver
+finds it by Held-Karp and re-scores it as a sequence cut into at most K
+per-vehicle segments, so the cost carries the rounding of a search over every
+permutation and split.  It is the normalization denominator for small
+instances; nearest neighbor takes over past 9 customers.
 """
 
 from __future__ import annotations
-
-from itertools import permutations, product
 
 import numpy as np
 
@@ -29,23 +27,16 @@ def _distances(instance: VrpInstance) -> tuple[list[float], list[list[float]]]:
 
 
 def brute_force_optimal(instance: VrpInstance) -> tuple[dict[int, list[int]], float]:
-    """Exact optimum by Held-Karp and a set-partition DP; refuses more than 9
-    customers.  Vehicle v serves the v-th tour; vehicles without one get []."""
+    """Exact optimum by Held-Karp; refuses more than 9 customers.  Vehicle 0
+    serves the single optimal tour and every other vehicle gets []."""
     n, k = instance.n_customers, instance.n_vehicles
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force is capped at {BRUTE_FORCE_LIMIT} customers, got {n}")
     d0, dmat = _distances(instance)
-    tours = _optimal_tours(n, k, np.array(d0), np.array(dmat))
-
-    # Every sequence that lists the tours back to back, in any order and
-    # orientation, realises this partition; keep the cheapest scoring.
-    best_cost = float("inf")
-    for order in permutations(tours):
-        for flips in product((False, True), repeat=len(order)):
-            perm = [c for tour, flip in zip(order, flips) for c in (tour[::-1] if flip else tour)]
-            best_cost = min(best_cost, _split_cost(perm, k, d0, dmat))
-    routes = {v: tours[v] if v < len(tours) else [] for v in range(k)}
-    return routes, float(best_cost)
+    tour = _optimal_tour(n, np.array(d0), np.array(dmat))
+    cost = min(_split_cost(seq, k, d0, dmat) for seq in (tour, tour[::-1]))
+    routes = {v: tour if v == 0 else [] for v in range(k)}
+    return routes, float(cost)
 
 
 def _split_cost(perm: list[int], k: int, d0, dmat) -> float:
@@ -72,9 +63,8 @@ def _split_cost(perm: list[int], k: int, d0, dmat) -> float:
     return prev[n]
 
 
-def _optimal_tours(n: int, k: int, d0: np.ndarray, dmat: np.ndarray) -> list[list[int]]:
-    """Customer orders of at most k depot tours that together serve all n
-    customers at the least total length."""
+def _optimal_tour(n: int, d0: np.ndarray, dmat: np.ndarray) -> list[int]:
+    """Customer order of the shortest closed depot tour through all n customers."""
     size = 1 << n
     masks = np.arange(size, dtype=np.int16)
     bits = 1 << np.arange(n)
@@ -92,34 +82,14 @@ def _optimal_tours(n: int, k: int, d0: np.ndarray, dmat: np.ndarray) -> list[lis
         legs = before + dmat.T                              # ... then i -> j
         came_from[layer] = legs.argmin(axis=2)
         path[layer] = np.where(has[layer], legs.min(axis=2), np.inf)
-    closed = path + d0
-    tour = closed.min(axis=1)
 
-    # Partition DP: cover[m][S] is the cheapest cover of S by at most m tours.
-    # The tour holding S's lowest customer is T, so each split is counted once.
-    s_of, t_of = np.nonzero(((masks[:, None] & masks) == masks)
-                            & ((masks[:, None] & -masks[:, None] & masks) != 0))
-    starts = np.flatnonzero(np.r_[True, s_of[1:] != s_of[:-1]])
-    cover = [np.r_[0.0, np.full(size - 1, np.inf)]]
-    for _ in range(k):
-        nxt = np.zeros(size)
-        nxt[1:] = np.minimum.reduceat(tour[t_of] + cover[-1][s_of ^ t_of], starts)
-        cover.append(nxt)
-
-    tours, rest = [], size - 1
-    for m in range(k, 0, -1):
-        if rest == 0:
-            break
-        options = t_of[s_of == rest]
-        chosen = int(options[np.argmin(tour[options] + cover[m - 1][rest ^ options])])
-        rest ^= chosen
-        # Walk came_from back from the last customer before the depot.
-        end, order = int(closed[chosen].argmin()), []
-        while chosen:
-            order.append(end)
-            chosen, end = chosen ^ (1 << end), int(came_from[chosen, end])
-        tours.append(order[::-1])
-    return tours
+    # Walk came_from back from the last customer before the depot.
+    rest = size - 1
+    end, order = int((path[rest] + d0).argmin()), []
+    while rest:
+        order.append(end)
+        rest, end = rest ^ (1 << end), int(came_from[rest, end])
+    return order[::-1]
 
 
 def nearest_neighbor(instance: VrpInstance) -> tuple[dict[int, list[int]], float]:

@@ -241,6 +241,11 @@ def test_evaluate_rejects_bad_instance_and_legacy_shape_with_exit_3(tmp_path, ca
     bad_instance.write_text(json.dumps(instance))
     assert "'customers'" in evaluate_error(run / "checkpoint.json", bad_instance)["detail"]
     assert not (tmp_path / "eval" / "routes.json").exists()
+    instance = json.loads((run / "instance.json").read_text())
+    instance["n_customers"] = 4.9
+    bad_instance.write_text(json.dumps(instance))
+    assert "'n_customers'" in evaluate_error(run / "checkpoint.json", bad_instance)["detail"]
+    assert not (tmp_path / "eval" / "routes.json").exists()
 
     ck = json.loads((run / "checkpoint.json").read_text())
     ck["config"].update({"n_qubits": 4, "n_layers": 2, "p": 2})

@@ -312,3 +312,11 @@ def test_instance_from_json_rejects_vehicle_count_outside_range():
         with pytest.raises(ValueError, match="'n_vehicles'"):
             instance_from_json(_bad_instance(n_vehicles=k))
     assert instance_from_json(_bad_instance(n_vehicles=4)).n_vehicles == 4
+
+
+def test_instance_from_json_rejects_non_integer_counts_and_seed():
+    # These used to load through int(): 4.9 as 4, true as 1, 2.5 as 2, "7" as 7.
+    for key, bad in (("n_customers", 4.9), ("n_vehicles", True), ("seed", 2.5),
+                     ("seed", "7"), ("n_customers", None)):
+        with pytest.raises(ValueError, match=f"'{key}'"):
+            instance_from_json(_bad_instance(**{key: bad}))

@@ -7,7 +7,8 @@ instances is a genuine double-implementation check.
 
 permutation_search is the exhaustive search the dynamic-programming solver
 replaced.  Its costs are the ones earlier results were normalized by, so the
-solver must reproduce them bit for bit, not just to a tolerance.
+solver must reproduce them bit for bit, not just to a tolerance, on instances
+without exact ties (see TIE_CASES for the ones with).
 """
 
 from itertools import combinations_with_replacement, permutations
@@ -93,15 +94,49 @@ def test_brute_force_respects_size_cap():
         brute_force_optimal(generate_instance(BRUTE_FORCE_LIMIT + 1, 2, 0))
 
 
+def _grid(rng, n: int, k: int, denominator: int) -> VrpInstance:
+    """Depot and customers on a 1/denominator grid: duplicates and exact ties."""
+    points = rng.integers(0, denominator + 1, size=(n + 1, 2)) / denominator
+    return VrpInstance(n, k, points[0], points[1:], 0)
+
+
+# Exact-tie instances on which the solver's cost and the permutation search's
+# differ in the last bit; the enumeration must still agree to 1e-12.
+TIE_CASES = (
+    _crafted([1, 1 / 3], [[2 / 3, 0], [1, 1 / 3], [2 / 3, 0], [2 / 3, 2 / 3], [1 / 3, 1 / 3],
+                          [1, 1]]),
+    _crafted([1, 1 / 3], [[1, 1 / 3], [1, 0], [0, 0], [2 / 3, 1], [0, 1]], n_vehicles=3),
+)
+
+
 def test_brute_force_agrees_with_independent_enumeration():
     rng = np.random.default_rng(17)
+    instances = []
     for trial in range(50):
         n = int(rng.integers(3, 7))
         k = int(rng.integers(1, min(n, 3) + 1))
-        instance = generate_instance(n, k, 1000 + trial)
+        instances.append(generate_instance(n, k, 1000 + trial))
+    for trial in range(20):
+        n = int(rng.integers(3, 7))
+        instances.append(_grid(rng, n, int(rng.integers(1, min(n, 3) + 1)), 2 + trial % 2))
+    for instance in (*instances, *TIE_CASES):
         routes, cost = brute_force_optimal(instance)
         assert cost == pytest.approx(route_cost(instance, routes), abs=1e-12)
         assert cost == pytest.approx(enumerate_optimal(instance), abs=1e-12)
+
+
+def test_one_closed_tour_is_optimal_for_every_vehicle_count():
+    # Without capacities, and with depot legs obeying the triangle inequality,
+    # joining tours end to start never costs more, so extra vehicles never help.
+    rng = np.random.default_rng(29)
+    instances = []
+    for trial in range(12):
+        n = int(rng.integers(3, 7))
+        instances.append(generate_instance(n, int(rng.integers(2, 4)), 3000 + trial))
+        instances.append(_grid(rng, n, int(rng.integers(2, 4)), 2))
+    for instance in instances:
+        single = VrpInstance(instance.n_customers, 1, instance.depot, instance.customers, 0)
+        assert enumerate_optimal(instance) == pytest.approx(enumerate_optimal(single), abs=1e-12)
 
 
 def test_brute_force_cost_equals_permutation_search_bit_for_bit():
