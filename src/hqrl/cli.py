@@ -74,7 +74,7 @@ def _cmd_warmstart(args: argparse.Namespace) -> int:
 
 
 def _write_run_artifacts(out: Path, log: training.TrainingLog, ck: training.Checkpoint) -> None:
-    (out / "metrics.csv").write_text(training.metrics_to_csv(log))
+    env.write_atomic(out / "metrics.csv", training.metrics_to_csv(log))
     training.save_checkpoint(ck, out / "checkpoint.json")
     instance = env.generate_instance(ck.config.n_customers, ck.config.n_vehicles,
                                      ck.config.seed)
@@ -112,7 +112,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         "normalized_cost": result.normalized_cost,
         "total_reward": result.total_reward,
     }
-    (out / "routes.json").write_text(json.dumps(payload, indent=2) + "\n")
+    env.write_atomic(out / "routes.json", json.dumps(payload, indent=2) + "\n")
     svgplot.emit_route_svg(instance, result.routes, out / "routes.svg")
     print(out / "routes.json")
     return 0
@@ -129,7 +129,7 @@ def _cmd_ablate(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     rows = training.ablate(cfg, _parse_sizes(args.sizes))
     path = _outdir(args) / "ablation.csv"
-    path.write_text(training.comparison_to_csv(rows))
+    env.write_atomic(path, training.comparison_to_csv(rows))
     print(path)
     return 0
 
@@ -138,7 +138,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
     rows = training.scalability_sweep(_parse_sizes(args.sizes), cfg)
     path = _outdir(args) / "comparison.csv"
-    path.write_text(training.comparison_to_csv(rows))
+    env.write_atomic(path, training.comparison_to_csv(rows))
     print(path)
     return 0
 

@@ -12,6 +12,7 @@ episode reward of a penalty-free episode is exactly minus the route cost.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -215,8 +216,19 @@ def instance_from_json(data: dict) -> VrpInstance:
                        _coordinates(data, "customers", (n_customers, 2)), data["seed"])
 
 
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write text to a temporary file beside path, then os.replace it into place."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def save_instance(instance: VrpInstance, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(instance_to_json(instance), indent=2) + "\n")
+    write_atomic(path, json.dumps(instance_to_json(instance), indent=2) + "\n")
 
 
 def load_instance(path: str | Path) -> VrpInstance:

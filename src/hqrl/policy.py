@@ -7,23 +7,22 @@ the warm-start Hamiltonian scaled by gamma_l, and a mixer scaled by beta_l.
 Per-qubit <Z> readouts feed a linear head whose masked softmax is the action
 distribution.
 
-Everything after the data layer is compiled into one 16x16 map V(theta), in
-training once per episode, shared by the rollout and the gradient pass; a
-forward pass is the data layer's product state times V.  Circuit-angle
-gradients come from the parameter-shift rule with one slot per gate, for a
-whole episode at once through the +/- pi/2 shifted maps; shared angles
-(gamma_l, beta_l, encoder outputs) are chained through the slots analytically.
+After the data layer each layer is three blocks of commuting gates: RY and RX
+(each a 16x16 Kronecker product) around RZ and RZZ (one phase vector).  Their
+product is V(theta), built once per training episode for the rollout and the
+gradient pass; a forward pass is the data layer's product state times V.
+Circuit-angle gradients are the exact pi/2 shift rule, for a whole episode by
+one backward sweep over the blocks, chained to shared angles analytically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
-from functools import lru_cache
 
 import numpy as np
 
-from .sim import (GateOp, ZZHamiltonian, circuit_map, parameter_shift_maps, ry_product_state,
-                  z_readouts)
+from .sim import (GateOp, ZZHamiltonian, _z_sign_matrix, pauli_rows, rotation_layer,
+                  ry_product_state, z_generators, z_readouts)
 
 N_QUBITS = 4
 N_LAYERS = 2
@@ -41,6 +40,8 @@ HEAD_SCALE = 0.5
 ANGLE_SCALE = 0.1
 
 QUANTUM_GROUPS = ("rotation_angles", "qaoa_angles")
+# Rows vec(P_q^T): one product with B's entries gives tr(P_q B) for every qubit
+_PAULI_ROWS = {kind: pauli_rows(kind, N_QUBITS) for kind in ("X", "Y")}
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
@@ -115,54 +116,33 @@ def encode_observation(state_vec: np.ndarray, params: PolicyParams) -> np.ndarra
     return np.pi * np.tanh(params.encoder_w @ state_vec + params.encoder_b)
 
 
-@lru_cache(maxsize=64)
-def _circuit_template(terms: tuple[tuple[int, int, float], ...]):
-    """Gate list with one parameter slot per gate, slot metadata, and the tail
-    after the data layer with its slots renumbered from 0, for the policy
-    Hamiltonian's ZZ terms.  Metadata rows are (group, index, scale): the gate
-    angle is scale * parameter[group][index], which is what the chain rule
-    needs.  Values change per state and per update; the structure never does."""
-    circuit: list[GateOp] = []
-    spec: list[tuple[str, tuple, float]] = []
-
-    def add(kind: str, targets: tuple[int, ...], group: str, index: tuple, scale: float) -> None:
-        circuit.append(GateOp(kind, targets, slot=len(spec)))
-        spec.append((group, index, scale))
-
-    for q in range(N_QUBITS):
-        add("RY", (q,), "data", (q,), 1.0)
-    for l in range(N_LAYERS):
-        for q in range(N_QUBITS):
-            add("RY", (q,), "rotation_angles", (l, q, 0), 1.0)
-        for q in range(N_QUBITS):
-            add("RZ", (q,), "rotation_angles", (l, q, 1), 1.0)
-        for i, j, w in terms:
-            add("RZZ", (i, j), "qaoa_angles", (l, 0), 2.0 * w)
-        for q in range(N_QUBITS):
-            add("RX", (q,), "qaoa_angles", (l, 1), 2.0)
-    tail = tuple(GateOp(g.kind, g.targets, slot=g.slot - N_QUBITS) for g in circuit[N_QUBITS:])
-    return tuple(circuit), tuple(spec), tail  # cached, so handed out immutable
+def _layer_angles(params: PolicyParams, h_policy: ZZHamiltonian) -> np.ndarray:
+    """(L, 3Q + terms) gate angles, per layer: RY, RZ, RZZ(2 gamma_l w), RX(2 beta_l)."""
+    weights = np.array([w for _, _, w in h_policy.terms])
+    gamma, beta = params.qaoa_angles.T
+    return np.concatenate([params.rotation_angles[:, :, 0], params.rotation_angles[:, :, 1],
+                           2.0 * gamma[:, None] * weights,
+                           np.repeat(2.0 * beta[:, None], N_QUBITS, axis=1)], axis=1)
 
 
-def _tail_angles(params: PolicyParams, h_policy: ZZHamiltonian) -> np.ndarray:
-    """Gate angles of the slots after the data layer, in slot order."""
-    _, spec, _ = _circuit_template(tuple(h_policy.terms))
-    return np.array([scale * getattr(params, group)[index]
-                     for group, index, scale in spec[N_QUBITS:]])
+def _compile(params: PolicyParams, h_policy: ZZHamiltonian):
+    """The blocks after the data layer, stacked over layers (RY maps, RZ/RZZ phase
+    vectors, RX maps), V(theta), their ordered product on row states, and the
+    phase vectors' generators (sim.z_generators)."""
+    angles = _layer_angles(params, h_policy)
+    generators = z_generators(N_QUBITS, [(i, j) for i, j, _ in h_policy.terms])
+    blocks = (rotation_layer("RY", angles[:, :N_QUBITS]),
+              np.exp(-0.5j * (angles[:, N_QUBITS:-N_QUBITS] @ generators.T)),
+              rotation_layer("RX", angles[:, -N_QUBITS:]))
+    v = np.eye(2**N_QUBITS)
+    for ry, phases, rx in zip(*blocks):
+        v = (v @ ry * phases) @ rx
+    return blocks, v, generators
 
 
 def compile_policy(params: PolicyParams, h_policy: ZZHamiltonian) -> np.ndarray:
-    """V(theta): every gate after the data layer as one matrix on row states
-    (see sim.circuit_map), valid until the parameters change.  Training takes V,
-    bit-equal, from _shift_maps, once per episode for the rollout and gradients."""
-    _, _, tail = _circuit_template(tuple(h_policy.terms))
-    return circuit_map(tail, _tail_angles(params, h_policy), N_QUBITS)
-
-
-def _shift_maps(params: PolicyParams, h_policy: ZZHamiltonian):
-    """V(theta) and its +/- pi/2 shifted maps (sim.parameter_shift_maps)."""
-    _, _, tail = _circuit_template(tuple(h_policy.terms))
-    return parameter_shift_maps(tail, _tail_angles(params, h_policy), N_QUBITS)
+    """V(theta): every gate after the data layer as one matrix on row states."""
+    return _compile(params, h_policy)[1]
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -215,16 +195,29 @@ def _zero_grads(group: PolicyParams | ValueParams) -> dict[str, np.ndarray]:
     return {f.name: np.zeros_like(getattr(group, f.name)) for f in fields(group)}
 
 
-def _readout_gradients(data_angles: np.ndarray, tail: np.ndarray,
-                       shifted: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Readouts (T, Q) for T rows of data angles, and their parameter-shift
-    gradients (P, T, Q) for every slot in slot order: a data slot shifts the
-    product state, a tail slot swaps V for its shifted map."""
-    states = ry_product_state(data_angles)
-    bumps = np.kron(np.eye(N_QUBITS), [[1.0], [-1.0]]) * (np.pi / 2.0)  # rows +e_q, -e_q
-    data_shifted = ry_product_state(data_angles[None] + bumps[:, None, :])
-    shifted_z = np.concatenate([z_readouts(data_shifted @ tail), z_readouts(states @ shifted)])
-    return z_readouts(states @ tail), 0.5 * (shifted_z[0::2] - shifted_z[1::2])
+def _sweep(data_angles: np.ndarray, states: np.ndarray, final: np.ndarray, compiled,
+           readout_weights: np.ndarray):
+    """Gradients of sum_t readout_weights[t] . <Z>(t) over T steps (data angles, product
+    states, final states): per step for the data slots (T, Q), and summed for every
+    later gate, in slot order.  With O_t = sum_q readout_weights[t, q] Z_q, gate
+    exp(-i theta G / 2) before the unitary U has gradient Im tr(G B) for
+    B = U^dagger (sum_t |phi_t><phi_t| O_t) U, the shift rule's exact value as
+    G^2 = I.  Gates of one block commute and share B, which moves as U_b^dagger B U_b."""
+    blocks, v, generators = compiled
+    back = (readout_weights @ _z_sign_matrix(N_QUBITS).T) * np.conj(final)  # O_t phi_t, conj
+    b = v.T @ (states.T @ back)
+    grads = []
+    for ry, phases, rx in reversed(list(zip(*blocks))):
+        rx_grads = (_PAULI_ROWS["X"] @ b.ravel()).imag
+        b = np.conj(rx) @ b @ rx.T
+        z_grads = (np.diagonal(b) @ generators).imag
+        b = np.conj(phases)[:, None] * b * phases
+        grads.append(np.concatenate([(_PAULI_ROWS["Y"] @ b.ravel()).imag, z_grads, rx_grads]))
+        b = np.conj(ry) @ b @ ry.T
+    # d(psi)/d(a_q) is half the product state with a_q moved by pi
+    shifted = ry_product_state(data_angles[:, None, :] + np.pi * np.eye(N_QUBITS))
+    data_grads = np.einsum("tqa,ta->tq", shifted, (back @ v.T).real)
+    return data_grads, np.concatenate(grads[::-1])
 
 
 def reinforce_gradients(trajectory, params: PolicyParams, vparams: ValueParams,
@@ -234,16 +227,16 @@ def reinforce_gradients(trajectory, params: PolicyParams, vparams: ValueParams,
     Policy loss is -sum_t log pi(a_t|s_t) * A_t with A_t = G_t - V(s_t), the
     baseline treated as constant; value loss is mean squared (V - G_t).
     Returns (policy_grads, value_grads, policy_loss, value_loss) with grads
-    keyed like the parameter fields.  All steps of the episode go through the
-    circuit maps, compiled once, in one batched product.
+    keyed like the parameter fields.  All steps of the episode go through V,
+    compiled once, and one backward sweep over the blocks.
     """
     return _reinforce_gradients(trajectory, params, vparams, h_policy,
-                                _shift_maps(params, h_policy), value_baseline)
+                                _compile(params, h_policy), value_baseline)
 
 
 def _reinforce_gradients(trajectory, params: PolicyParams, vparams: ValueParams,
-                         h_policy: ZZHamiltonian, maps, value_baseline: bool):
-    """reinforce_gradients with V(theta) and its shifted maps already built."""
+                         h_policy: ZZHamiltonian, compiled, value_baseline: bool):
+    """reinforce_gradients with the blocks and V(theta) already built (_compile)."""
     states = np.asarray(trajectory.states, dtype=float)
     actions = np.asarray(trajectory.actions, dtype=int)
     targets = np.asarray(trajectory.normalized_returns, dtype=float)
@@ -265,10 +258,11 @@ def _reinforce_gradients(trajectory, params: PolicyParams, vparams: ValueParams,
         value_loss = 0.0
         advantage = targets
 
-    _, spec, _ = _circuit_template(tuple(h_policy.terms))
-    tail, shifted = maps
     pre = states @ params.encoder_w.T + params.encoder_b
-    z, dz_dslot = _readout_gradients(np.pi * np.tanh(pre), tail, shifted)
+    data_angles = np.pi * np.tanh(pre)
+    product = ry_product_state(data_angles)
+    final = product @ compiled[1]
+    z = z_readouts(final)
     logits = z @ params.head_w.T + params.head_b
     probs = np.array([masked_softmax(row, mask) for row, mask in zip(logits, masks)])
     policy_loss = -np.sum(np.log(probs[steps, actions]) * advantage)
@@ -281,12 +275,14 @@ def _reinforce_gradients(trajectory, params: PolicyParams, vparams: ValueParams,
     pg = _zero_grads(params)
     pg["head_w"] = d_logits.T @ z
     pg["head_b"] = d_logits.sum(axis=0)
-    d_slots = np.einsum("ptq,tq->pt", dz_dslot, d_logits @ params.head_w)
-
-    for k, (group, index, gate_scale) in enumerate(spec[N_QUBITS:], start=N_QUBITS):
-        pg[group][index] += d_slots[k].sum() * gate_scale
+    d_data, d_gates = _sweep(data_angles, product, final, compiled, d_logits @ params.head_w)
+    layers = d_gates.reshape(N_LAYERS, -1)  # per layer: RY, RZ, RZZ, RX
+    pg["rotation_angles"] = np.stack([layers[:, :N_QUBITS], layers[:, N_QUBITS:2 * N_QUBITS]], -1)
+    pg["qaoa_angles"] = np.column_stack([
+        2.0 * layers[:, 2 * N_QUBITS:-N_QUBITS] @ [w for _, _, w in h_policy.terms],
+        2.0 * layers[:, -N_QUBITS:].sum(axis=1)])
     # data slot q loads qubit q with gate scale 1
-    d_pre = d_slots[:N_QUBITS].T * np.pi * (1.0 - np.tanh(pre) ** 2)
+    d_pre = d_data * np.pi * (1.0 - np.tanh(pre) ** 2)
     pg["encoder_w"] = d_pre.T @ states
     pg["encoder_b"] = d_pre.sum(axis=0)
     return pg, vg, float(policy_loss), float(value_loss)
@@ -329,6 +325,12 @@ def apply_update(params: PolicyParams, vparams: ValueParams,
 
 
 def policy_circuit_for_size(params: PolicyParams, h_policy: ZZHamiltonian):
-    """The full circuit and its slot values at zero data angles."""
-    circuit, _, _ = _circuit_template(tuple(h_policy.terms))
-    return circuit, np.concatenate([np.zeros(N_QUBITS), _tail_angles(params, h_policy)])
+    """The full circuit, one parameter slot per gate in circuit order (data-loading
+    RY per qubit, then per layer RY, RZ, RZZ per term, RX), and its slot values
+    at zero data angles."""
+    qubits = [(q,) for q in range(N_QUBITS)]
+    layer = ([("RY", t) for t in qubits] + [("RZ", t) for t in qubits]
+             + [("RZZ", (i, j)) for i, j, _ in h_policy.terms] + [("RX", t) for t in qubits])
+    gates = [("RY", t) for t in qubits] + layer * N_LAYERS
+    circuit = tuple(GateOp(kind, targets, slot=k) for k, (kind, targets) in enumerate(gates))
+    return circuit, np.concatenate([np.zeros(N_QUBITS), _layer_angles(params, h_policy).ravel()])

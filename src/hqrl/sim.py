@@ -177,12 +177,9 @@ def run_circuit(state: StateVector, circuit: Sequence[GateOp], params: np.ndarra
         _check_gate(gate, n)
         if gate.slot is not None and params is None:
             raise ValueError("circuit has parameter slots but no params were given")
-        _apply(amps, gate.kind, gate.targets, _angle(gate, params), n)
+        angle = float(params[gate.slot]) if gate.slot is not None else gate.angle
+        _apply(amps, gate.kind, gate.targets, angle, n)
     return StateVector(n, amps)
-
-
-def _angle(gate: GateOp, params: np.ndarray | None) -> float | None:
-    return float(params[gate.slot]) if gate.slot is not None else gate.angle
 
 
 def apply_cost_layer(state: StateVector, hamiltonian: ZZHamiltonian, gamma: float) -> StateVector:
@@ -263,44 +260,35 @@ def ry_product_state(angles: np.ndarray) -> np.ndarray:
                    axis=-1)
 
 
-def circuit_map(circuit: Sequence[GateOp], params: np.ndarray, n_qubits: int) -> np.ndarray:
-    """The circuit as one matrix M on row states: states psi of shape
-    (..., 2**n) evolve to psi @ M, so row j of M is basis state j evolved."""
-    m = np.eye(2**n_qubits, dtype=np.complex128)
-    for gate in circuit:
-        _apply(m, gate.kind, gate.targets, _angle(gate, params), n_qubits)
-    return m
+def rotation_layer(kind: str, angles: np.ndarray) -> np.ndarray:
+    """RX or RY(angles[..., q]) on each qubit q as one map M on row states (psi
+    evolves to psi @ M), a stack of maps for leading axes: M[a, b] is the product
+    over q of R_q[bit q of b, bit q of a], one gather over the bit table."""
+    half = 0.5 * np.asarray(angles, dtype=float)
+    c, s = np.cos(half), np.sin(half)
+    rot = np.stack({"RX": [c, -1j * s, -1j * s, c], "RY": [c, -s, s, c]}[kind], axis=-1,
+                   dtype=np.complex128)  # (..., n, 4): rows of each 2x2 in turn
+    n = half.shape[-1]
+    bits = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).T  # (n, 2**n)
+    index = 4 * np.arange(n)[:, None, None] + 2 * bits[:, None, :] + bits[:, :, None]
+    return rot.reshape(*half.shape[:-1], 4 * n)[..., index].prod(axis=-3)
 
 
-def parameter_shift_maps(circuit: Sequence[GateOp], params: np.ndarray,
-                         n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """The circuit map M and shifted maps (2P, 2**n, 2**n): rows 2k and 2k+1
-    are M with slot k's angle moved by +pi/2 and -pi/2.
-
-    A rotation by angle +/- pi/2 is the rotation by angle, then a fixed kick
-    by +/- pi/2.  With prefix_i the map of gates 0..i, gate i's shifted map
-    is prefix_i @ kick @ prefix_i^dagger @ M, as every map is unitary.
-    """
-    _validate_slots(circuit, params)
-    current = np.eye(2**n_qubits, dtype=np.complex128)
-    heads = np.empty((2 * len(params),) + current.shape, dtype=np.complex128)
-    kicks = np.empty_like(heads)
-    for gate in circuit:
-        _apply(current, gate.kind, gate.targets, _angle(gate, params), n_qubits)
-        if gate.slot is not None:
-            for row, delta in ((2 * gate.slot, np.pi / 2.0), (2 * gate.slot + 1, -np.pi / 2.0)):
-                heads[row] = current
-                kicks[row] = _gate_map(gate.kind, gate.targets, delta, n_qubits)
-    suffix = np.ascontiguousarray(np.conj(np.swapaxes(heads, 1, 2))) @ current
-    return current, heads @ kicks @ suffix
+def z_generators(n: int, pairs: list[tuple[int, int]]) -> np.ndarray:
+    """(2^n, n + len(pairs)) diagonals of Z_q per qubit, then of Z_i Z_j per pair:
+    RZ/RZZ gates with angles t act together as exp(-i/2 * generators @ t)."""
+    signs = _z_sign_matrix(n)
+    return np.column_stack([signs] + [signs[:, i] * signs[:, j] for i, j in pairs])
 
 
-@lru_cache(maxsize=1024)
-def _gate_map(kind: str, targets: tuple[int, ...], angle: float, n_qubits: int) -> np.ndarray:
-    """Read-only map of one gate at a fixed angle (see circuit_map)."""
-    m = circuit_map([GateOp(kind, targets, angle)], None, n_qubits)
-    m.setflags(write=False)
-    return m
+def pauli_rows(kind: str, n: int) -> np.ndarray:
+    """Rows vec(P_q^T) for P = X or Y on each qubit q: rows @ b.ravel() is tr(P_q b)
+    for every q.  X_q[a, a ^ 2**q] = 1 and Y_q[a, a ^ 2**q] = -i * sign_q(a)."""
+    idx = np.arange(2**n)
+    rows = np.zeros((n, 2**n, 2**n), dtype=np.complex128)
+    for q in range(n):
+        rows[q, idx ^ (1 << q), idx] = 1.0 if kind == "X" else -1j * _z_sign_matrix(n)[:, q]
+    return rows.reshape(n, -1)
 
 
 def _shift_rule(circuit: Sequence[GateOp], params: np.ndarray, n_qubits: int,
@@ -323,7 +311,7 @@ def parameter_shift_gradient(circuit: Sequence[GateOp], params: np.ndarray, obse
     Component k is [f(theta_k + pi/2) - f(theta_k - pi/2)] / 2, with f the
     expectation after running the circuit from |0...0>.  Exact here because
     every parametric gate's generator squares to the identity and each slot
-    feeds exactly one gate.  The reference the compiled maps are tested against.
+    feeds exactly one gate.  The reference the policy's gradient sweep is tested against.
     """
     _validate_slots(circuit, params)
     n = max(q for g in circuit for q in g.targets) + 1
@@ -338,7 +326,7 @@ def parameter_shift_gradient(circuit: Sequence[GateOp], params: np.ndarray, obse
 
 def z_readout_gradients(circuit: Sequence[GateOp], params: np.ndarray, n_qubits: int) -> np.ndarray:
     """d<Z_q>/d(theta_k) for all slots and qubits, shape (P, n_qubits), by the
-    per-slot shift rule; the reference the compiled maps are tested against."""
+    per-slot shift rule; the reference the policy's gradient sweep is tested against."""
     _validate_slots(circuit, params)
     return _shift_rule(circuit, params, n_qubits, all_z_expectations)
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import VrpInstance
+from .env import VrpInstance, write_atomic
 
 COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
 WIDTH, HEIGHT, PAD = 480, 480, 40
@@ -64,7 +64,7 @@ def emit_route_svg(instance: VrpInstance, routes: dict[int, list[int]],
 
     doc = _document(body)
     if path is not None:
-        Path(path).write_text(doc)
+        write_atomic(path, doc)
     return doc
 
 
@@ -120,5 +120,5 @@ def emit_curve_svg(series: list[tuple[str, np.ndarray]], path: str | Path | None
 
     doc = _document(body)
     if path is not None:
-        Path(path).write_text(doc)
+        write_atomic(path, doc)
     return doc

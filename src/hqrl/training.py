@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, fields, replace
-from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +16,9 @@ import numpy as np
 from . import solvers
 from .env import (DISCOUNT, INVALID_PENALTY, VEHICLE_RULES, Trajectory, VrpInstance,
                   discounted_returns, encode_state, generate_instance, reset, state_dim, step,
-                  valid_action_mask)
+                  valid_action_mask, write_atomic)
 from .policy import (N_LAYERS, N_QUBITS, AdamState, PolicyParams, ValueParams,
-                     _reinforce_gradients, _shift_maps, adam_init, apply_update, compile_policy,
+                     _compile, _reinforce_gradients, adam_init, apply_update, compile_policy,
                      compiled_forward, init_policy_params, init_value_params,
                      policy_circuit_for_size, sample_action)
 from .sim import ZZHamiltonian, circuit_metrics
@@ -188,18 +187,18 @@ def _init_checkpoint(config: RunConfig, h_policy: ZZHamiltonian) -> Checkpoint:
 
 def _run_episodes(ck: Checkpoint, instance: VrpInstance,
                   h_policy: ZZHamiltonian) -> tuple[TrainingLog, Checkpoint]:
-    """The config's episodes; each compiles V(theta) once, for rollout and gradients."""
+    """The config's episodes; each builds the blocks and V(theta) once, for both passes."""
     config = ck.config
     rng = np.random.default_rng([config.seed, 1])
     params, vparams, opt = ck.params, ck.vparams, ck.opt
 
     records: list[EpisodeRecord] = []
     for episode in range(config.episodes):
-        maps = _shift_maps(params, h_policy)
-        traj, _, total, cost = _rollout(instance, params, maps[0], rng, False,
+        compiled = _compile(params, h_policy)
+        traj, _, total, cost = _rollout(instance, params, compiled[1], rng, False,
                                         config.vehicle_rule, config.discount,
                                         config.invalid_penalty)
-        pg, vg, ploss, vloss = _reinforce_gradients(traj, params, vparams, h_policy, maps,
+        pg, vg, ploss, vloss = _reinforce_gradients(traj, params, vparams, h_policy, compiled,
                                                     config.value_baseline)
         if not (np.isfinite(ploss) and np.isfinite(vloss)):
             raise RuntimeError(f"non-finite loss at episode {episode}: "
@@ -288,16 +287,14 @@ def evaluate(ck: Checkpoint, instance: VrpInstance) -> EvalResult:
 
 
 def peak_memory_estimate(ck: Checkpoint) -> int:
-    """Formula-based estimate, not a measurement, of our own buffers at the
-    peak of an update: parameters, Adam moments, the gradient pass's prefix and
-    shifted maps, and an episode's N states through them.  The process, with
-    the interpreter and numpy, uses far more."""
+    """Formula-based estimate, not a measurement, of our own buffers at the peak of
+    an update: parameters, Adam moments, the blocks, V, the sweep's A and B, and an
+    episode's N product, final and data-shifted states.  The process uses far more."""
     param_bytes = sum(int(getattr(group, f.name).nbytes)
                       for group in (ck.params, ck.vparams) for f in fields(group))
-    rzz = comb(min(N_QUBITS, ck.config.n_customers), 2)  # one per subgraph pair
-    n_slots, dim = N_QUBITS + N_LAYERS * (3 * N_QUBITS + rzz), 2**N_QUBITS  # one per gate
-    map_bytes = 16 * dim * dim * 3 * (n_slots - N_QUBITS)
-    state_bytes = 16 * dim * ck.config.n_customers * (2 * n_slots + 1)
+    dim = 2**N_QUBITS
+    map_bytes = 16 * (N_LAYERS * (2 * dim * dim + dim) + 3 * dim * dim)  # blocks, V, A, B
+    state_bytes = ck.config.n_customers * dim * (8 + 16 + 8 * N_QUBITS)  # (T, 16) x2, (T, Q, 16)
     return 3 * param_bytes + map_bytes + state_bytes
 
 
@@ -469,7 +466,7 @@ def _check_arrays(ck: Checkpoint) -> None:
 
 
 def save_checkpoint(ck: Checkpoint, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(checkpoint_to_json(ck), indent=2) + "\n")
+    write_atomic(path, json.dumps(checkpoint_to_json(ck), indent=2) + "\n")
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:

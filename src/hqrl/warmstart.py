@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy.optimize import minimize
 
-from .env import VrpInstance
+from .env import VrpInstance, write_atomic
 from .sim import ZZHamiltonian, apply_cost_layer, apply_mixer_layer, expectation_zz, init_plus_state
 
 MAX_ITERS = 150
@@ -163,4 +163,4 @@ def warmstart_to_json(angles: WarmStartAngles, subgraph: Subgraph, seed: int) ->
 
 
 def save_warmstart(angles: WarmStartAngles, subgraph: Subgraph, seed: int, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(warmstart_to_json(angles, subgraph, seed), indent=2) + "\n")
+    write_atomic(path, json.dumps(warmstart_to_json(angles, subgraph, seed), indent=2) + "\n")

@@ -7,10 +7,11 @@ error channel on stderr.
 
 import json
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
-from hqrl import env
+from hqrl import env, svgplot, training
 from hqrl.cli import main
 
 
@@ -325,3 +326,56 @@ def test_finetune_rejects_bad_checkpoint_counters_with_exit_3(tmp_path, capsys, 
                      "--out", str(out)]) == 3
         assert field in _last_error(capsys)["detail"]
         assert not out.exists()
+
+
+def _all_artifacts(tmp_path, config, seed):
+    """Every command that writes an artifact, all into one directory: exit codes."""
+    out = tmp_path / "out"
+    flags = ["--config", str(config), "--seed", str(seed), "--out", str(out)]
+    return [main(["gen-instance", *flags]),
+            main(["warmstart", "--instance", str(tmp_path / "input-instance.json"), *flags]),
+            main(["train", *flags]),
+            main(["evaluate", "--checkpoint", str(tmp_path / "input-checkpoint.json"),
+                  "--instance", str(tmp_path / "input-instance.json"), "--out", str(out)]),
+            main(["plot", "--metrics", str(tmp_path / "input-metrics.csv"), "--out", str(out)]),
+            main(["sweep", "--sizes", "2", "--episodes", "1", *flags]),
+            main(["ablate", "--sizes", "2", "--episodes", "1", *flags])]
+
+
+def _snapshot(directory):
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("failure", ["write stops half-way", "serializer raises"])
+def test_failed_artifact_writes_leave_the_previous_files_whole(tmp_path, monkeypatch,
+                                                               failure):
+    monkeypatch.delenv("HQRL_SEED", raising=False)
+    config = _tiny_config(tmp_path, n_vehicles=1, episodes=2)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(config), "--out", str(run)]) == 0
+    for name in ("instance.json", "checkpoint.json", "metrics.csv"):
+        (tmp_path / f"input-{name}").write_bytes((run / name).read_bytes())
+    assert _all_artifacts(tmp_path, config, 5) == [0] * 7
+    before = _snapshot(tmp_path / "out")
+    assert len(before) == 9  # every artifact the command line writes
+
+    if failure == "write stops half-way":
+        write_text = Path.write_text
+
+        def half_then_fail(self, text, *args, **kwargs):
+            write_text(self, text[:len(text) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+        monkeypatch.setattr(Path, "write_text", half_then_fail)
+    else:
+        dumps = json.dumps
+
+        def fail(*args, **kwargs):
+            raise ValueError("serializer failed")
+        # JSON artifacts are dumped with an indent, the one-line error report without
+        monkeypatch.setattr(json, "dumps",
+                            lambda obj, **kw: fail() if "indent" in kw else dumps(obj, **kw))
+        for module, name in ((training, "metrics_to_csv"), (training, "comparison_to_csv"),
+                             (svgplot, "_document")):
+            monkeypatch.setattr(module, name, fail)
+    assert _all_artifacts(tmp_path, config, 6) == [3] * 7
+    assert _snapshot(tmp_path / "out") == before  # same bytes, and no temporary file left

@@ -1,21 +1,27 @@
 """Property tests of the compiled policy circuit against the gate-by-gate path.
 
-The compiled path turns everything after the data layer into one 16x16 map
-V(theta) plus its +/- pi/2 shifted twins.  Here it is checked, over random
-angles and random ZZ Hamiltonians, against run_circuit and the per-slot
-parameter-shift oracle z_readout_gradients, which run every gate on its own.
+The compiled path turns everything after the data layer into three commuting
+blocks per layer (RY map, RZ/RZZ phase vector, RX map) and their product
+V(theta), and takes every circuit-angle gradient of an episode by one backward
+sweep over the blocks.  Here it is checked, over random angles and random ZZ
+Hamiltonians, against run_circuit and the per-slot parameter-shift oracle
+z_readout_gradients, which run every gate on its own.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hqrl.policy import (PolicyParams, _circuit_template, _readout_gradients, _tail_angles,
-                         compile_policy, policy_circuit_for_size)
+from hqrl import training
+from hqrl.env import state_dim
+from hqrl.policy import (PolicyParams, _compile, _sweep, compile_policy,
+                         encode_observation, init_policy_params, init_value_params,
+                         masked_softmax, policy_circuit_for_size, reinforce_gradients,
+                         value_forward)
 from hqrl.sim import (GATE_KINDS, ZZHamiltonian, _apply, all_z_expectations, basis_state,
-                      parameter_shift_maps, ry_product_state, run_circuit, z_readout_gradients,
-                      z_readouts)
+                      ry_product_state, run_circuit, z_readout_gradients, z_readouts)
 
 N_QUBITS, N_LAYERS = 4, 2
 PAIRS = [(i, j) for i in range(N_QUBITS) for j in range(i + 1, N_QUBITS)]
@@ -40,9 +46,26 @@ def _full_circuit(data, params, h):
     return circuit, values
 
 
-def _compiled(params, h):
-    _, _, tail = _circuit_template(tuple(h.terms))
-    return parameter_shift_maps(tail, _tail_angles(params, h), N_QUBITS)
+def _gate_by_gate_map(params, h):
+    """The gates after the data layer applied one at a time to the identity's rows."""
+    circuit, values = policy_circuit_for_size(params, h)
+    m = np.eye(2**N_QUBITS, dtype=np.complex128)
+    for gate in circuit[N_QUBITS:]:
+        _apply(m, gate.kind, gate.targets, values[gate.slot], N_QUBITS)
+    return m
+
+
+def _slot_table(data, params, h):
+    """d<Z_q>/d(slot) for one state, shape (P, Q): the sweep driven by each unit
+    readout weight in turn."""
+    compiled = _compile(params, h)
+    states = ry_product_state(data[None])
+    final = states @ compiled[1]
+    columns = []
+    for weights in np.eye(N_QUBITS):
+        d_data, d_gates = _sweep(data[None], states, final, compiled, weights[None])
+        columns.append(np.concatenate([d_data[0], d_gates]))
+    return np.array(columns).T
 
 
 policy_inputs = dict(
@@ -61,12 +84,15 @@ criterion_1 = example(rotation=np.full((N_LAYERS, N_QUBITS, 2), 0.3),
 @given(**policy_inputs)
 def test_compiled_maps_are_unitary(rotation, qaoa, terms, data):
     params, h = _params(rotation, qaoa), ZZHamiltonian(N_QUBITS, terms)
-    tail, shifted = _compiled(params, h)
-    np.testing.assert_array_equal(tail, compile_policy(params, h))
+    blocks, v, _ = _compile(params, h)
+    np.testing.assert_array_equal(v, compile_policy(params, h))
+    np.testing.assert_allclose(v, _gate_by_gate_map(params, h), atol=1e-12)
     eye = np.eye(2**N_QUBITS)
-    np.testing.assert_allclose(tail @ tail.conj().T, eye, atol=1e-12)
-    np.testing.assert_allclose(shifted @ np.conj(np.swapaxes(shifted, 1, 2)),
-                               np.broadcast_to(eye, shifted.shape), atol=1e-12)
+    np.testing.assert_allclose(v @ v.conj().T, eye, atol=1e-12)
+    for ry, phases, rx in zip(*blocks):
+        for block in (ry, rx):
+            np.testing.assert_allclose(block @ block.conj().T, eye, atol=1e-12)
+        np.testing.assert_allclose(np.abs(phases), 1.0, atol=1e-12)
 
 
 @PROPERTY
@@ -86,12 +112,74 @@ def test_compiled_readouts_match_run_circuit(rotation, qaoa, terms, data):
 def test_compiled_slot_gradients_match_per_gate_shift(rotation, qaoa, terms, data):
     params, h = _params(rotation, qaoa), ZZHamiltonian(N_QUBITS, terms)
     circuit, values = _full_circuit(data, params, h)
-    tail, shifted = _compiled(params, h)
-    z, grads = _readout_gradients(data[None], tail, shifted)
-    state = run_circuit(basis_state(N_QUBITS), circuit, values)
-    np.testing.assert_allclose(z[0], all_z_expectations(state), atol=1e-12)
-    np.testing.assert_allclose(grads[:, 0, :], z_readout_gradients(circuit, values, N_QUBITS),
-                               atol=1e-12)
+    np.testing.assert_allclose(_slot_table(data, params, h),
+                               z_readout_gradients(circuit, values, N_QUBITS), atol=1e-12)
+
+
+def _slot_owners(h):
+    """(group, index, scale) of every slot after the data layer: its gate angle
+    is scale * parameter[group][index]."""
+    owners = []
+    for l in range(N_LAYERS):
+        owners += [("rotation_angles", (l, q, 0), 1.0) for q in range(N_QUBITS)]
+        owners += [("rotation_angles", (l, q, 1), 1.0) for q in range(N_QUBITS)]
+        owners += [("qaoa_angles", (l, 0), 2.0 * w) for _, _, w in h.terms]
+        owners += [("qaoa_angles", (l, 1), 2.0)] * N_QUBITS
+    return owners
+
+
+def _chained_policy_gradients(traj, params, vparams, h, value_baseline):
+    """reinforce_gradients' policy part from one per-slot shift table per step,
+    chained to the parameters by hand."""
+    grads = {name: np.zeros_like(getattr(params, name))
+             for name in ("encoder_w", "encoder_b", "rotation_angles", "qaoa_angles",
+                          "head_w", "head_b")}
+    loss = 0.0
+    for obs, action, target in zip(traj.states, traj.actions, traj.normalized_returns):
+        advantage = target - value_forward(obs, vparams) if value_baseline else target
+        data = encode_observation(obs, params)
+        circuit, values = _full_circuit(data, params, h)
+        z = all_z_expectations(run_circuit(basis_state(N_QUBITS), circuit, values))
+        mask = obs[-params.n_actions:] == 0.0
+        probs = masked_softmax(params.head_w @ z + params.head_b, mask)
+        loss -= np.log(probs[action]) * advantage
+        d_logits = probs.copy()
+        d_logits[action] -= 1.0
+        d_logits[~mask] = 0.0
+        d_logits *= advantage
+        grads["head_w"] += np.outer(d_logits, z)
+        grads["head_b"] += d_logits
+        d_slots = z_readout_gradients(circuit, values, N_QUBITS) @ (d_logits @ params.head_w)
+        for k, (group, index, scale) in enumerate(_slot_owners(h), start=N_QUBITS):
+            grads[group][index] += scale * d_slots[k]
+        d_pre = d_slots[:N_QUBITS] * (np.pi - data**2 / np.pi)  # d(pi tanh x)/dx
+        grads["encoder_w"] += np.outer(d_pre, obs)
+        grads["encoder_b"] += d_pre
+    return grads, loss
+
+
+@pytest.mark.parametrize("value_baseline", [True, False])
+@pytest.mark.parametrize("n, k, seed", [(1, 1, 3), (3, 2, 5), (5, 2, 8)])
+def test_reinforce_gradients_equal_a_chain_of_per_step_shift_tables(n, k, seed,
+                                                                     value_baseline):
+    config = training.RunConfig(n_customers=n, n_vehicles=k, seed=seed)
+    instance, h = training._problem(config)
+    rng = np.random.default_rng(seed)
+    params = init_policy_params(state_dim(n, k), n, rng)
+    params = PolicyParams(params.encoder_w, rng.normal(0.0, 0.3, N_QUBITS),
+                          rng.uniform(-np.pi, np.pi, (N_LAYERS, N_QUBITS, 2)),
+                          rng.uniform(-np.pi, np.pi, (N_LAYERS, 2)),
+                          params.head_w + rng.normal(0.0, 0.3, params.head_w.shape),
+                          rng.normal(0.0, 0.3, n))
+    vparams = init_value_params(state_dim(n, k), rng)
+    traj, _, _, _ = training.rollout(instance, params, h, rng)
+    grads, _, loss, _ = reinforce_gradients(traj, params, vparams, h, value_baseline)
+    expected, expected_loss = _chained_policy_gradients(traj, params, vparams, h,
+                                                        value_baseline)
+    assert loss == pytest.approx(expected_loss, rel=1e-12, abs=1e-12)
+    for name, value in expected.items():
+        scale = max(1.0, float(np.max(np.abs(value))))
+        np.testing.assert_allclose(grads[name], value, atol=1e-12 * scale, rtol=0, err_msg=name)
 
 
 @st.composite

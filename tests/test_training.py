@@ -12,13 +12,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqrl import policy
+from hqrl import policy, training
 from hqrl.env import (VEHICLE_RULES, encode_state, generate_instance, reset, route_cost,
                       select_vehicle, state_dim, step, valid_action_mask)
 from hqrl.policy import (ENCODER_SCALE, ENCODER_SEED, N_LAYERS, N_QUBITS, PolicyParams,
                          action_codes, apply_update, init_policy_params, init_value_params,
-                         policy_circuit_for_size, reinforce_gradients)
-from hqrl.sim import ZZHamiltonian
+                         reinforce_gradients)
+from hqrl.sim import ZZHamiltonian, ry_product_state
 from hqrl.solvers import brute_force_optimal
 from hqrl.training import (FINETUNE_EPISODES, TRAINED_METHODS, Checkpoint, EpisodeRecord,
                            RunConfig, _init_checkpoint, ablate, checkpoint_from_json,
@@ -255,10 +255,10 @@ def test_train_builds_the_instance_once_and_the_circuit_maps_once_per_episode(mo
     for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "hqrl"]:
         if getattr(module, "generate_instance", None) is generate_instance:
             count(module, "generate_instance")
-    count(policy, "parameter_shift_maps")
-    count(policy, "circuit_map")
+    count(training, "_compile")
+    count(policy, "_compile")
     train(replace(TINY, episodes=7))
-    assert calls == {"generate_instance": 1, "parameter_shift_maps": 7}
+    assert calls == {"generate_instance": 1, "_compile": 7}
 
 
 def test_transfer_rebuilds_encoder_blockwise():
@@ -487,15 +487,23 @@ def test_peak_memory_estimate():
     assert estimate > 0
     assert estimate == peak_memory_estimate(ck)
     assert estimate < 10_000_000  # four qubits stay tiny
-    # the slot count in the formula is the policy circuit's gate count
+    # the formula counts the arrays one update builds: the blocks and V, the
+    # sweep's A and B (each shaped like V), and the episode's state arrays
     for n, k in ((1, 1), (2, 1), (3, 2), (4, 2), (9, 3)):
-        ck = Checkpoint(RunConfig(n_customers=n, n_vehicles=k),
-                        init_policy_params(state_dim(n, k), n, np.random.default_rng(0)),
+        config = RunConfig(n_customers=n, n_vehicles=k)
+        instance, h = training._problem(config)
+        ck = Checkpoint(config, init_policy_params(state_dim(n, k), n, np.random.default_rng(0)),
                         init_value_params(state_dim(n, k), np.random.default_rng(1)), None, 0)
-        n_slots = len(policy_circuit_for_size(ck.params, policy_hamiltonian(ck.config))[0])
+        traj, _, _, _ = rollout(instance, ck.params, h, np.random.default_rng(2))
+        blocks, v, _ = policy._compile(ck.params, h)
+        data = np.pi * np.tanh(traj.states @ ck.params.encoder_w.T + ck.params.encoder_b)
+        states = ry_product_state(data)
+        shifted = ry_product_state(data[:, None, :] + np.pi * np.eye(N_QUBITS))
         param_bytes = sum(a.nbytes for a in (*vars(ck.params).values(), *vars(ck.vparams).values()))
-        assert peak_memory_estimate(ck) == (3 * param_bytes + 16 * 16**2 * 3 * (n_slots - N_QUBITS)
-                                            + 16 * 16 * n * (2 * n_slots + 1))
+        assert peak_memory_estimate(ck) == (3 * param_bytes
+                                            + sum(b.nbytes for b in blocks)
+                                            + 3 * v.nbytes + states.nbytes
+                                            + (states @ v).nbytes + shifted.nbytes)
 
 
 def test_finetune_episode_preset():
