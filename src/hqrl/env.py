@@ -139,6 +139,31 @@ def step(instance: VrpInstance, state: EnvState, action: int, rule: str = "neare
     return StepOutcome(nxt, reward, done, k)
 
 
+def distance_tables(instance: VrpInstance) -> tuple[np.ndarray, np.ndarray]:
+    """(N+1, N+1) distances over [depot | customers], bit-equal to step's two norm
+    forms: d1 to the 1-D norm of a leg, dax to the axis=1 norm of select_vehicle
+    and the depot return."""
+    pts = np.vstack([instance.depot, instance.customers])
+    diff = pts[:, None] - pts[None]
+    return np.sqrt(np.vecdot(diff, diff)), np.linalg.norm(diff, axis=2)
+
+
+def table_step(tables: tuple[np.ndarray, np.ndarray], where: np.ndarray, action: int,
+               step_count: int, done: bool, rule: str = "nearest") -> tuple[int, float]:
+    """step of an unvisited city on distance_tables, vehicles held as table indices
+    (0 the depot, c + 1 customer c) and moved in place: (vehicle, reward)."""
+    d1, dax = tables
+    if rule not in VEHICLE_RULES:
+        raise ValueError(f"unknown vehicle rule {rule!r}")
+    k = (step_count % where.size if rule == "round-robin"
+         else int(dax[action + 1][where].argmin()))
+    reward = -float(d1[where[k], action + 1])
+    where[k] = action + 1
+    if done:
+        reward -= float(dax[0][where].sum())
+    return k, reward
+
+
 def discounted_returns(rewards: np.ndarray, gamma: float = DISCOUNT) -> tuple[np.ndarray, np.ndarray]:
     """Backward-accumulated returns G_t and their per-episode normalization.
 
@@ -150,11 +175,11 @@ def discounted_returns(rewards: np.ndarray, gamma: float = DISCOUNT) -> tuple[np
         raise ValueError("empty reward sequence")
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
-    returns = np.empty_like(rewards)
-    acc = 0.0
-    for t in range(rewards.size - 1, -1, -1):
-        acc = rewards[t] + gamma * acc
-        returns[t] = acc
+    acc, backward = 0.0, []
+    for r in reversed(rewards.tolist()):
+        acc = r + gamma * acc
+        backward.append(acc)
+    returns = np.array(backward[::-1])
     std = returns.std()
     if std < 1e-8:
         return returns, np.zeros_like(returns)

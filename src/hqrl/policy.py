@@ -148,13 +148,22 @@ def compile_policy(params: PolicyParams, h_policy: ZZHamiltonian) -> np.ndarray:
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Probabilities over valid entries only; masked-out entries are exactly 0."""
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
+    valid = logits[mask]
+    if valid.size == 0:
         raise ValueError("mask leaves no valid action")
-    shifted = logits[mask] - logits[mask].max()
-    weights = np.exp(shifted)
-    probs = np.zeros_like(logits, dtype=float)
+    weights = np.exp(valid - valid.max())
+    probs = np.zeros(logits.shape)
     probs[mask] = weights / weights.sum()
     return probs
+
+
+def _masked_softmax_rows(logits: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """masked_softmax of every row of a (T, A) batch at once, equal to it to rounding."""
+    if not masks.any(axis=1).all():
+        raise ValueError("mask leaves no valid action")
+    top = logits.max(axis=1, initial=-np.inf, where=masks, keepdims=True)
+    weights = np.exp(logits - top, out=np.zeros_like(logits), where=masks)
+    return weights / weights.sum(axis=1, keepdims=True)
 
 
 def compiled_forward(state_vec: np.ndarray, params: PolicyParams, tail: np.ndarray,
@@ -264,7 +273,7 @@ def _reinforce_gradients(trajectory, params: PolicyParams, vparams: ValueParams,
     final = product @ compiled[1]
     z = z_readouts(final)
     logits = z @ params.head_w.T + params.head_b
-    probs = np.array([masked_softmax(row, mask) for row, mask in zip(logits, masks)])
+    probs = _masked_softmax_rows(logits, masks)
     policy_loss = -np.sum(np.log(probs[steps, actions]) * advantage)
 
     d_logits = probs.copy()  # d(policy_loss)/d(logits)

@@ -15,10 +15,10 @@ import numpy as np
 
 from . import solvers
 from .env import (DISCOUNT, INVALID_PENALTY, VEHICLE_RULES, Trajectory, VrpInstance,
-                  discounted_returns, encode_state, generate_instance, reset, state_dim, step,
-                  valid_action_mask, write_atomic)
-from .policy import (N_LAYERS, N_QUBITS, AdamState, PolicyParams, ValueParams,
-                     _compile, _reinforce_gradients, adam_init, apply_update, compile_policy,
+                  discounted_returns, distance_tables, encode_state, generate_instance, reset,
+                  state_dim, table_step, write_atomic)
+from .policy import (N_LAYERS, N_QUBITS, AdamState, PolicyParams, ValueParams, _compile,
+                     _reinforce_gradients, adam_init, apply_update, compile_policy,
                      compiled_forward, init_policy_params, init_value_params,
                      policy_circuit_for_size, sample_action)
 from .sim import ZZHamiltonian, circuit_metrics
@@ -143,34 +143,37 @@ def policy_hamiltonian(config: RunConfig) -> ZZHamiltonian:
 def rollout(instance: VrpInstance, params: PolicyParams, h_policy: ZZHamiltonian,
             rng: np.random.Generator, greedy: bool = False, rule: str = "nearest",
             discount: float = DISCOUNT, penalty: float = INVALID_PENALTY):
-    """One masked episode; returns (trajectory, routes, total_reward, cost)."""
-    return _rollout(instance, params, compile_policy(params, h_policy), rng, greedy, rule,
-                    discount, penalty)
+    """One masked episode; returns (trajectory, routes, total_reward, cost).  A masked
+    episode never picks a served city, so the invalid-action penalty never applies."""
+    return _rollout(instance, params, distance_tables(instance),
+                    compile_policy(params, h_policy), rng, greedy, rule, discount)
 
 
-def _rollout(instance, params, tail, rng, greedy, rule, discount, penalty):
-    """rollout on V(theta) already compiled (tail)."""
-    state = reset(instance)
-    states, actions, rewards = [], [], []
-    routes: dict[int, list[int]] = {v: [] for v in range(instance.n_vehicles)}
+def _rollout(instance, params, tables, v, rng, greedy, rule, discount):
+    """rollout on the instance's distance_tables and V(theta) already compiled, the
+    environment moved as env.step moves it."""
+    n, k = instance.n_customers, instance.n_vehicles
+    obs = encode_state(instance, reset(instance))
+    states = np.empty((n, obs.size))
+    where = np.zeros(k, dtype=int)
+    actions, rewards = [], []
+    routes: dict[int, list[int]] = {j: [] for j in range(k)}
     total = 0.0
-    while not state.done:
-        obs = encode_state(instance, state)
-        mask = valid_action_mask(state)
-        dist = compiled_forward(obs, params, tail, mask)
+    for t in range(n):
+        states[t] = obs
+        dist = compiled_forward(obs, params, v, obs[-n:] == 0.0)
         action = sample_action(dist, rng, greedy=greedy)
-        outcome = step(instance, state, action, rule, penalty=penalty)
-        routes[outcome.vehicle].append(action)
-        states.append(obs)
+        vehicle, reward = table_step(tables, where, action, t, t == n - 1, rule)
+        obs[2 * vehicle:2 * vehicle + 2] = instance.customers[action]
+        obs[2 * (k + n) + action] = 1.0  # visited
+        routes[vehicle].append(action)
         actions.append(action)
-        rewards.append(outcome.reward)
-        total += outcome.reward
-        state = outcome.state
+        rewards.append(reward)
+        total += reward
     rewards = np.array(rewards)
     returns, normalized = discounted_returns(rewards, discount)
-    traj = Trajectory(np.array(states), np.array(actions), rewards, returns, normalized)
-    cost = -total  # masked rollouts never pay the invalid penalty
-    return traj, routes, total, cost
+    traj = Trajectory(states, np.array(actions), rewards, returns, normalized)
+    return traj, routes, total, -total
 
 
 def _init_checkpoint(config: RunConfig, h_policy: ZZHamiltonian) -> Checkpoint:
@@ -192,12 +195,12 @@ def _run_episodes(ck: Checkpoint, instance: VrpInstance,
     rng = np.random.default_rng([config.seed, 1])
     params, vparams, opt = ck.params, ck.vparams, ck.opt
 
+    tables = distance_tables(instance)
     records: list[EpisodeRecord] = []
     for episode in range(config.episodes):
         compiled = _compile(params, h_policy)
-        traj, _, total, cost = _rollout(instance, params, compiled[1], rng, False,
-                                        config.vehicle_rule, config.discount,
-                                        config.invalid_penalty)
+        traj, _, total, cost = _rollout(instance, params, tables, compiled[1], rng, False,
+                                        config.vehicle_rule, config.discount)
         pg, vg, ploss, vloss = _reinforce_gradients(traj, params, vparams, h_policy, compiled,
                                                     config.value_baseline)
         if not (np.isfinite(ploss) and np.isfinite(vloss)):

@@ -5,14 +5,18 @@ the corner-tour optimum is verified against an exhaustive permutation oracle
 written here rather than trusted from any solver.
 """
 
-from itertools import permutations
+from itertools import permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from hqrl.env import (EnvState, VrpInstance, discounted_returns, encode_state, generate_instance,
-                      instance_from_json, instance_to_json, load_instance, reset, route_cost,
-                      save_instance, select_vehicle, state_dim, step, valid_action_mask)
+from hqrl.env import (VEHICLE_RULES, EnvState, VrpInstance, discounted_returns, distance_tables,
+                      encode_state, generate_instance, instance_from_json, instance_to_json,
+                      load_instance, reset, route_cost, save_instance, select_vehicle, state_dim,
+                      step, table_step, valid_action_mask)
 
 
 def _line_instance(depot, customers, n_vehicles=1, seed=0) -> VrpInstance:
@@ -320,3 +324,81 @@ def test_instance_from_json_rejects_non_integer_counts_and_seed():
                      ("seed", "7"), ("n_customers", None)):
         with pytest.raises(ValueError, match=f"'{key}'"):
             instance_from_json(_bad_instance(**{key: bad}))
+
+
+def _with_coincident_points(instance: VrpInstance, rng) -> VrpInstance:
+    """The instance with one customer moved onto the depot and one onto another customer."""
+    customers = instance.customers.copy()
+    n = instance.n_customers
+    customers[rng.integers(0, n)] = instance.depot
+    customers[rng.integers(0, n)] = customers[rng.integers(0, n)]
+    return VrpInstance(n, instance.n_vehicles, instance.depot, customers, instance.seed)
+
+
+def test_distance_tables_equal_both_per_pair_norm_forms():
+    """d1 is the 1-D norm step measures a leg with, dax the axis=1 norm of select_vehicle
+    and the depot return, entry by entry; the two forms differ in the last bit for
+    some pairs, so neither table can stand in for the other."""
+    rng = np.random.default_rng(5)
+    forms_differ = False
+    for n in range(1, 26):
+        plain = generate_instance(n, 1, 1000 + n)
+        for instance in (plain, _with_coincident_points(plain, rng)):
+            pts = np.vstack([instance.depot, instance.customers])
+            d1, dax = distance_tables(instance)
+            assert d1.shape == dax.shape == (n + 1, n + 1)
+            for i in range(n + 1):
+                for j in range(n + 1):
+                    assert d1[i, j] == float(np.linalg.norm(pts[i] - pts[j]))
+                    assert dax[i, j] == np.linalg.norm(pts[[i]] - pts[j], axis=1)[0]
+            forms_differ |= bool((d1 != dax).any())
+    assert forms_differ
+
+
+def test_table_step_moves_as_step():
+    """Vehicle, reward and positions equal env.step's at every step, for both rules,
+    coincident points, and all vehicles at the depot, where the nearest-vehicle
+    tie goes to the lowest index as np.argmin breaks it."""
+    rng = np.random.default_rng(6)
+    for n in range(1, 26):
+        for k in sorted({1, min(n, 2), min(n, 3)}):
+            plain = generate_instance(n, k, 2000 + n)
+            for instance, rule in product((plain, _with_coincident_points(plain, rng)),
+                                          VEHICLE_RULES):
+                tables = distance_tables(instance)
+                pts = np.vstack([instance.depot, instance.customers])
+                state, where = reset(instance), np.zeros(k, dtype=int)
+                for t, action in enumerate(rng.permutation(n).tolist()):
+                    outcome = step(instance, state, action, rule)
+                    vehicle, reward = table_step(tables, where, action, t, outcome.done, rule)
+                    if t == 0 and rule == "nearest":
+                        assert vehicle == 0  # every vehicle is at the depot
+                    assert (vehicle, reward) == (outcome.vehicle, outcome.reward)
+                    np.testing.assert_array_equal(pts[where], outcome.state.vehicle_positions)
+                    state = outcome.state
+    with pytest.raises(ValueError, match="unknown vehicle rule"):
+        table_step(distance_tables(plain), np.zeros(k, dtype=int), 0, 0, False, "farthest")
+
+
+def _returns_over_numpy_scalars(rewards: np.ndarray, gamma: float):
+    """discounted_returns as it ran before its loop moved to Python floats."""
+    returns = np.empty_like(rewards)
+    acc = 0.0
+    for t in range(rewards.size - 1, -1, -1):
+        acc = rewards[t] + gamma * acc
+        returns[t] = acc
+    std = returns.std()
+    if std < 1e-8:
+        return returns, np.zeros_like(returns)
+    return returns, (returns - returns.mean()) / (std + 1e-8)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rewards=arrays(np.float64, st.integers(1, 40),
+                      elements=st.floats(-1e3, 1e3, allow_nan=False)),
+       gamma=st.floats(0.0, 1.0, exclude_min=True))
+def test_discounted_returns_equal_the_numpy_scalar_loop(rewards, gamma):
+    returns, normalized = discounted_returns(rewards, gamma)
+    expected_returns, expected_normalized = _returns_over_numpy_scalars(rewards, gamma)
+    assert returns.tobytes() == expected_returns.tobytes()
+    assert normalized.tobytes() == expected_normalized.tobytes()

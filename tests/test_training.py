@@ -208,6 +208,15 @@ def test_rollout_replays_through_the_environment(shape, instance_seed, rule, par
     assert -np.add.accumulate(traj.rewards)[-1] == cost == -total  # summed left to right
 
 
+def test_rollout_rejects_params_of_another_observation_width():
+    """The public rollout keeps encode_observation's shape check."""
+    instance = generate_instance(4, 2, 3)
+    params = _random_params(5, 2, 0)
+    h_policy = policy_hamiltonian(RunConfig(n_customers=4, n_vehicles=2, seed=3))
+    with pytest.raises(ValueError, match="does not match encoder dim"):
+        rollout(instance, params, h_policy, np.random.default_rng(0))
+
+
 def _public_loop(config):
     """train's episodes spelled out with the public rollout, reinforce_gradients
     and apply_update, each compiling its own circuit maps."""
