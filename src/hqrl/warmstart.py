@@ -3,9 +3,10 @@
 The policy register is smaller than the problem, so the cost Hamiltonian is
 built from the customers nearest the depot (the depot itself carries no
 qubit).  Pairwise distances are normalized so the largest weight is exactly
-1.0.  Angles are fit with Nelder-Mead, a derivative-free local search; the
-recorded history keeps only accepted (strictly improving) costs, so it is
-non-increasing by construction.
+1.0.  Angles are fit with Nelder-Mead, a derivative-free local search, here a
+numpy port of scipy's method that evaluates the same points in the same order
+(so the package needs no scipy); the recorded history keeps only accepted
+(strictly improving) costs, so it is non-increasing by construction.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .env import VrpInstance, write_atomic
 from .sim import ZZHamiltonian, apply_cost_layer, apply_mixer_layer, expectation_zz, init_plus_state
@@ -86,6 +86,54 @@ class _Stop(Exception):
     pass
 
 
+def _nelder_mead(f, x0: np.ndarray) -> None:
+    """Minimize f from x0 by Nelder-Mead (Nelder & Mead 1965) until the simplex
+    collapses (vertices within 1e-10, values within 1e-12) or f raises.
+
+    A port of scipy 1.17's non-adaptive, unbounded method that evaluates f at
+    the same points in the same order: x0 again, x0 with one coordinate scaled
+    by 1.05 (a zero set to 0.00025) per vertex, then reflection 1, expansion 2,
+    contraction 1/2 and shrink 1/2.
+    """
+    n = len(x0)
+    sim = np.array([x0] * (n + 1), dtype=float)
+    for k in range(n):
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(x) for x in sim])
+    ind = np.argsort(fsim)  # scipy sorts the first simplex twice, and argsort need not be stable
+    sim, fsim = sim[ind], fsim[ind]
+    while True:
+        ind = np.argsort(fsim)
+        sim, fsim = sim[ind], fsim[ind]
+        if (np.max(np.abs(sim[1:] - sim[0])) <= 1e-10
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= 1e-12):
+            return
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+
+
 def optimize_angles(hamiltonian: ZZHamiltonian, p: int, max_iters: int = MAX_ITERS,
                     seed: int = 0) -> WarmStartAngles:
     """Minimize the QAOA expectation from seeded-uniform initial angles.
@@ -125,8 +173,7 @@ def optimize_angles(hamiltonian: ZZHamiltonian, p: int, max_iters: int = MAX_ITE
     try:
         objective(x0)
         if max_iters > 1:
-            minimize(objective, x0, method="Nelder-Mead",
-                     options={"maxfev": 10 * max_iters, "xatol": 1e-10, "fatol": 1e-12})
+            _nelder_mead(objective, x0)
     except _Stop:
         pass
     return WarmStartAngles(best_x[:p].copy(), best_x[p:].copy(), best, nfev, history)

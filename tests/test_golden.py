@@ -73,8 +73,9 @@ def run_matrix(root: Path) -> None:
 
 
 def _metrics_values(text: str) -> dict:
-    rows = list(csv.DictReader(io.StringIO(text)))
-    return {col: [float(r[col]) for r in rows] for col in rows[0]} if rows else {}
+    reader = csv.DictReader(io.StringIO(text))
+    rows = list(reader)
+    return {col: [float(r[col]) for r in rows] for col in reader.fieldnames}
 
 
 def _flatten(data, prefix=""):

@@ -1,5 +1,6 @@
 """Warm-start pipeline tests: subgraph weights, ansatz expectation against a
-hand-derived closed form, optimizer contracts, grid-scan optimality, export.
+hand-derived closed form, optimizer contracts, grid-scan optimality, export,
+and the Nelder-Mead port against scipy.optimize.minimize, kept as its oracle.
 
 The single-edge closed form used throughout: for one ZZ term of weight w and
 one cost+mixer round starting from |++>, writing out the four amplitudes gives
@@ -7,13 +8,22 @@ one cost+mixer round starting from |++>, writing out the four amplitudes gives
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hqrl
+from hqrl import warmstart
 from hqrl.env import VrpInstance, generate_instance
 from hqrl.policy import init_policy_params
 from hqrl.sim import ZZHamiltonian
+from hqrl.training import DEFAULT_SEEDS
 from hqrl.warmstart import (build_cost_hamiltonian, build_subgraph, export_warm_start,
                             optimize_angles, qaoa_expectation, run_warmstart, save_warmstart,
                             warmstart_to_json)
@@ -219,3 +229,104 @@ def test_warmstart_json_keeps_evaluation_count():
     assert angles.iterations_used == 150
     assert len(angles.cost_history) < 150
     assert again["iterations_used"] == 150
+
+
+def _hamiltonian(n: int, seed: int) -> ZZHamiltonian:
+    return build_cost_hamiltonian(build_subgraph(generate_instance(n, 1, seed), n_qubits=4))
+
+
+def _scipy_nelder_mead(f, x0, budget):
+    """The search optimize_angles ran on scipy before the port, kept as its oracle."""
+    from scipy.optimize import minimize
+    minimize(f, x0, method="Nelder-Mead",
+             options={"maxfev": 10 * budget, "xatol": 1e-10, "fatol": 1e-12})
+
+
+def _on_scipy(h, p, budget, seed):
+    with mock.patch.object(warmstart, "_nelder_mead",
+                           lambda f, x0: _scipy_nelder_mead(f, x0, budget)):
+        return optimize_angles(h, p, budget, seed)
+
+
+def _assert_port_equals_scipy(h, p, budget, seed):
+    port, oracle = optimize_angles(h, p, budget, seed), _on_scipy(h, p, budget, seed)
+    assert port.gammas.tobytes() == oracle.gammas.tobytes()
+    assert port.betas.tobytes() == oracle.betas.tobytes()
+    assert port.final_cost == oracle.final_cost
+    assert port.iterations_used == oracle.iterations_used
+    assert port.cost_history == oracle.cost_history
+    return port
+
+
+@pytest.mark.parametrize("seed", DEFAULT_SEEDS)
+def test_nelder_mead_port_equals_scipy_on_the_gate_warm_starts(seed):
+    for n in (5, 8, 10, 12, 15, 25):
+        _assert_port_equals_scipy(_hamiltonian(n, seed), 2, 150, seed)
+    _assert_port_equals_scipy(ZZHamiltonian(2, [(0, 1, 1.0)]), 1, 150, 0)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 25), p=st.sampled_from([1, 2, 3]),
+       budget=st.sampled_from([1, 2, 60, 150, 400]))
+def test_nelder_mead_port_equals_scipy(seed, n, p, budget):
+    _assert_port_equals_scipy(_hamiltonian(n, seed), p, budget, seed)
+
+
+def test_nelder_mead_port_stops_on_a_collapsed_simplex_as_scipy_does():
+    # One customer leaves a one-qubit Hamiltonian without terms, so every
+    # evaluation is 0.0: no step is ever accepted, the patience rule cannot
+    # fire, and only the 1e-10 / 1e-12 test ends the search before the budget.
+    # No instance with two or more customers was found to end this way.
+    result = _assert_port_equals_scipy(_hamiltonian(1, 3), 2, 400, 3)
+    assert result.cost_history == [0.0]
+    assert 1 < result.iterations_used < 400
+
+
+class _Budget(Exception):
+    pass
+
+
+def _evaluated_points(search, f, x0, budget):
+    """The bytes of every point the search evaluates f at, in order, until it
+    returns or has made `budget` evaluations."""
+    points = []
+
+    def counted(x):
+        if len(points) == budget:
+            raise _Budget
+        points.append(np.array(x).tobytes())
+        return f(x)
+
+    try:
+        search(counted, x0)
+    except _Budget:
+        pass
+    return points
+
+
+# Plateaus and exact ties exercise each strict and non-strict comparison.
+_STEPPED = {
+    "bowl": lambda x: float(np.floor(4.0 * np.sum((x - 0.3) ** 2)) / 4.0),
+    "waves": lambda x: float(np.round(np.sum(np.sin(3.0 * x)), 1)),
+    "flat": lambda x: 1.0,
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(x0=st.lists(st.sampled_from([0.0, 0.5, -1.25, 2.0]) | st.floats(-4.0, 4.0),
+                   min_size=1, max_size=6),
+       name=st.sampled_from(sorted(_STEPPED)), budget=st.sampled_from([3, 40, 300]))
+def test_nelder_mead_port_evaluates_the_points_scipy_does(x0, name, budget):
+    x0, f = np.array(x0), _STEPPED[name]
+    on_scipy = _evaluated_points(lambda g, start: _scipy_nelder_mead(g, start, budget),
+                                 f, x0, budget)
+    assert _evaluated_points(warmstart._nelder_mead, f, x0, budget) == on_scipy
+
+
+def test_importing_the_package_loads_no_scipy():
+    src = Path(hqrl.__file__).resolve().parents[1]
+    code = ("import sys, hqrl, hqrl.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
