@@ -1,4 +1,14 @@
-"""Dense statevector simulator for small QAOA-style circuits.
+"""Dense statevector simulation for the policy register and the QAOA warm start.
+
+Two parts share the conventions below:
+- The block kernel that training and the warm start run on.  A layer of RX
+  or RY rotations is one 2^n x 2^n map (`rotation_layer`), a layer of RZ and
+  RZZ gates one phase vector over the diagonals of `z_generators`, and the
+  data layer a real product state (`ry_product_state`); `z_readouts` and
+  `pauli_rows` read states and gradients off them.
+- A gate-by-gate simulator (`StateVector`, `GateOp`, `apply_gate`), which
+  acceptance criterion 2 runs over long random gate sequences, and
+  `circuit_metrics` for a gate list.
 
 Conventions: qubit q maps to bit q of the amplitude index (qubit 0 is the
 least significant bit).  All rotations use the half-angle form
@@ -71,15 +81,6 @@ def init_plus_state(n_qubits: int) -> StateVector:
     return StateVector(n_qubits, amps)
 
 
-def basis_state(n_qubits: int, index: int = 0) -> StateVector:
-    _check_width(n_qubits)
-    if not 0 <= index < 2**n_qubits:
-        raise ValueError(f"basis index {index} out of range")
-    amps = np.zeros(2**n_qubits, dtype=np.complex128)
-    amps[index] = 1.0
-    return StateVector(n_qubits, amps)
-
-
 def _check_width(n_qubits: int) -> None:
     if not 1 <= n_qubits <= MAX_QUBITS:
         raise ValueError(f"n_qubits must be in [1, {MAX_QUBITS}], got {n_qubits}")
@@ -91,9 +92,7 @@ def _check_normalized(amps: np.ndarray) -> None:
         raise ValueError(f"state is not normalized (|psi|^2 = {norm})")
 
 
-@lru_cache(maxsize=64)
 def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
-    # Cached because a mixer layer applies one angle to every qubit.
     c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
     if kind == "RX":
         mat = np.array([[c, -1j * s], [-1j * s, c]])
@@ -103,7 +102,6 @@ def _rotation_matrix(kind: str, angle: float) -> np.ndarray:
         mat = np.array([[np.exp(-0.5j * angle), 0], [0, np.exp(0.5j * angle)]])
     else:
         raise ValueError(f"unsupported rotation kind {kind!r}")
-    mat.setflags(write=False)
     return mat
 
 
@@ -117,7 +115,7 @@ def _pair_parity(n: int, i: int, j: int) -> np.ndarray:
 
 def _apply(amps: np.ndarray, kind: str, targets: tuple[int, ...], angle: float | None, n: int) -> None:
     """Apply one gate in place along the last axis of a C-contiguous (..., 2**n)
-    array: the one kernel for single states, batches and stacks of maps."""
+    array, a single state or a stack of them."""
     if kind in ("RX", "RY", "RZ", "H"):
         mat = _H if kind == "H" else _rotation_matrix(kind, angle)
         # Expose bit q as its own axis (stride 2^q) and mix the halves; any
@@ -161,42 +159,10 @@ def apply_gate(state: StateVector, gate: GateOp) -> StateVector:
     """Apply one gate and return the evolved state (input left untouched)."""
     _check_gate(gate, state.n_qubits)
     if gate.slot is not None and gate.angle is None:
-        raise ValueError("gate has an unbound parameter slot; use run_circuit with params")
+        raise ValueError("gate has an unbound parameter slot; give it an angle")
     _check_normalized(state.amplitudes)
     amps = state.amplitudes.copy()
     _apply(amps, gate.kind, gate.targets, gate.angle, state.n_qubits)
-    return StateVector(state.n_qubits, amps)
-
-
-def run_circuit(state: StateVector, circuit: Sequence[GateOp], params: np.ndarray | None = None) -> StateVector:
-    """Apply a gate list in order, resolving parameter slots from params."""
-    _check_normalized(state.amplitudes)
-    n = state.n_qubits
-    amps = state.amplitudes.copy()
-    for gate in circuit:
-        _check_gate(gate, n)
-        if gate.slot is not None and params is None:
-            raise ValueError("circuit has parameter slots but no params were given")
-        angle = float(params[gate.slot]) if gate.slot is not None else gate.angle
-        _apply(amps, gate.kind, gate.targets, angle, n)
-    return StateVector(n, amps)
-
-
-def apply_cost_layer(state: StateVector, hamiltonian: ZZHamiltonian, gamma: float) -> StateVector:
-    """exp(-i gamma H_C) for H_C = sum w Z_i Z_j, i.e. RZZ(2*gamma*w) per term."""
-    if hamiltonian.n_qubits != state.n_qubits:
-        raise ValueError("hamiltonian width does not match the state")
-    amps = state.amplitudes.copy()
-    for i, j, w in hamiltonian.terms:
-        _apply(amps, "RZZ", (i, j), 2.0 * gamma * w, state.n_qubits)
-    return StateVector(state.n_qubits, amps)
-
-
-def apply_mixer_layer(state: StateVector, beta: float) -> StateVector:
-    """exp(-i beta H_B) for H_B = sum X_q, i.e. RX(2*beta) on every qubit."""
-    amps = state.amplitudes.copy()
-    for q in range(state.n_qubits):
-        _apply(amps, "RX", (q,), 2.0 * beta, state.n_qubits)
     return StateVector(state.n_qubits, amps)
 
 
@@ -209,45 +175,9 @@ def _z_sign_matrix(n: int) -> np.ndarray:
     return signs
 
 
-def _z_signs(n: int, q: int) -> np.ndarray:
-    return _z_sign_matrix(n)[:, q]
-
-
-def expectation_z(state: StateVector, qubit: int) -> float:
-    """<Z_q>, analytic."""
-    if not 0 <= qubit < state.n_qubits:
-        raise ValueError(f"qubit {qubit} out of range")
-    return float(np.dot(_z_signs(state.n_qubits, qubit), state.probabilities()))
-
-
-def expectation_zz(state: StateVector, hamiltonian: ZZHamiltonian) -> float:
-    """<H_C> = sum_k w_k <Z_i Z_j>, analytic."""
-    if hamiltonian.n_qubits != state.n_qubits:
-        raise ValueError("hamiltonian width does not match the state")
-    probs = state.probabilities()
-    total = 0.0
-    for i, j, w in hamiltonian.terms:
-        signs = 1.0 - 2.0 * _pair_parity(state.n_qubits, i, j)
-        total += w * np.dot(signs, probs)
-    return float(total)
-
-
-def all_z_expectations(state: StateVector) -> np.ndarray:
-    """<Z_q> for every qubit, analytic."""
-    return z_readouts(state.amplitudes)
-
-
 def z_readouts(amps: np.ndarray) -> np.ndarray:
     """<Z_q> for every qubit of every state in a (..., 2**n) array: shape (..., n)."""
     return (np.abs(amps) ** 2) @ _z_sign_matrix(int(amps.shape[-1]).bit_length() - 1)
-
-
-def _validate_slots(circuit: Sequence[GateOp], params: np.ndarray) -> None:
-    slots = [g.slot for g in circuit if g.slot is not None]
-    if sorted(slots) != list(range(len(slots))):
-        raise ValueError("parameter slots must be 0..P-1, each used exactly once")
-    if len(params) != len(slots):
-        raise ValueError(f"expected {len(slots)} params, got {len(params)}")
 
 
 def ry_product_state(angles: np.ndarray) -> np.ndarray:
@@ -289,46 +219,6 @@ def pauli_rows(kind: str, n: int) -> np.ndarray:
     for q in range(n):
         rows[q, idx ^ (1 << q), idx] = 1.0 if kind == "X" else -1j * _z_sign_matrix(n)[:, q]
     return rows.reshape(n, -1)
-
-
-def _shift_rule(circuit: Sequence[GateOp], params: np.ndarray, n_qubits: int,
-                readout) -> np.ndarray:
-    """[f(theta_k + pi/2) - f(theta_k - pi/2)] / 2 per slot k, with f the readout
-    of the final state: each shifted circuit is run from |0...0> on its own."""
-    if len(params) == 0:
-        raise ValueError("circuit has no parameter slots")
-
-    def f(k: int, delta: float):
-        bumped = np.array(params, dtype=float)
-        bumped[k] += delta
-        return readout(run_circuit(basis_state(n_qubits), circuit, bumped))
-    return np.array([0.5 * (f(k, np.pi / 2.0) - f(k, -np.pi / 2.0)) for k in range(len(params))])
-
-
-def parameter_shift_gradient(circuit: Sequence[GateOp], params: np.ndarray, observable) -> np.ndarray:
-    """Exact gradient of <observable> via the pi/2 parameter-shift rule.
-
-    Component k is [f(theta_k + pi/2) - f(theta_k - pi/2)] / 2, with f the
-    expectation after running the circuit from |0...0>.  Exact here because
-    every parametric gate's generator squares to the identity and each slot
-    feeds exactly one gate.  The reference the policy's gradient sweep is tested against.
-    """
-    _validate_slots(circuit, params)
-    n = max(q for g in circuit for q in g.targets) + 1
-    if isinstance(observable, ZZHamiltonian):
-        return _shift_rule(circuit, params, max(n, observable.n_qubits),
-                           lambda state: expectation_zz(state, observable))
-    if isinstance(observable, (int, np.integer)):
-        return _shift_rule(circuit, params, max(n, int(observable) + 1),
-                           lambda state: expectation_z(state, int(observable)))
-    raise ValueError(f"unsupported observable {observable!r}")
-
-
-def z_readout_gradients(circuit: Sequence[GateOp], params: np.ndarray, n_qubits: int) -> np.ndarray:
-    """d<Z_q>/d(theta_k) for all slots and qubits, shape (P, n_qubits), by the
-    per-slot shift rule; the reference the policy's gradient sweep is tested against."""
-    _validate_slots(circuit, params)
-    return _shift_rule(circuit, params, n_qubits, all_z_expectations)
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,11 @@
 The policy register is smaller than the problem, so the cost Hamiltonian is
 built from the customers nearest the depot (the depot itself carries no
 qubit).  Pairwise distances are normalized so the largest weight is exactly
-1.0.  Angles are fit with Nelder-Mead, a derivative-free local search, here a
-numpy port of scipy's method that evaluates the same points in the same order
-(so the package needs no scipy); the recorded history keeps only accepted
+1.0.  The ansatz runs on the policy's block kernel: a cost layer is one phase
+vector over the ZZ diagonal and a mixer one RX map, as in the policy circuit.
+Angles are fit with Nelder-Mead, a derivative-free local search, here a numpy
+port of scipy's method that evaluates the same points in the same order (so
+the package needs no scipy); the recorded history keeps only accepted
 (strictly improving) costs, so it is non-increasing by construction.
 """
 
@@ -18,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .env import VrpInstance, write_atomic
-from .sim import ZZHamiltonian, apply_cost_layer, apply_mixer_layer, expectation_zz, init_plus_state
+from .policy import N_QUBITS
+from .sim import ZZHamiltonian, rotation_layer, z_generators
 
 MAX_ITERS = 150
 PATIENCE = 10
@@ -70,16 +73,25 @@ def build_cost_hamiltonian(subgraph: Subgraph) -> ZZHamiltonian:
 
 
 def qaoa_expectation(hamiltonian: ZZHamiltonian, gammas: np.ndarray, betas: np.ndarray) -> float:
-    """<H_C> of the depth-p ansatz (cost layer then mixer, p times) on |+>^n."""
+    """<H_C> of the depth-p ansatz (cost layer then mixer, p times) on |+>^n.
+
+    With h the diagonal of H_C, a cost layer multiplies the row state by
+    exp(-i gamma h) and a mixer applies the RX(2 beta) map on every qubit;
+    <H_C> is |psi|^2 @ h.  At most the policy register's N_QUBITS qubits.
+    """
     gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
     betas = np.atleast_1d(np.asarray(betas, dtype=float))
     if gammas.shape != betas.shape:
         raise ValueError("gamma and beta vectors must have equal length")
-    state = init_plus_state(hamiltonian.n_qubits)
+    n = hamiltonian.n_qubits
+    if not 1 <= n <= N_QUBITS:
+        raise ValueError(f"hamiltonian has {n} qubits; the policy register has {N_QUBITS}")
+    terms = hamiltonian.terms
+    h = z_generators(n, [(i, j) for i, j, _ in terms])[:, n:] @ np.array([w for _, _, w in terms])
+    psi = np.full(2**n, 2.0 ** (-n / 2.0), dtype=np.complex128)
     for g, b in zip(gammas, betas):
-        state = apply_cost_layer(state, hamiltonian, g)
-        state = apply_mixer_layer(state, b)
-    return expectation_zz(state, hamiltonian)
+        psi = (psi * np.exp(-1j * g * h)) @ rotation_layer("RX", np.full(n, 2.0 * b))
+    return float(np.abs(psi) ** 2 @ h)
 
 
 class _Stop(Exception):

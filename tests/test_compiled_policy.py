@@ -20,8 +20,8 @@ from hqrl.policy import (PolicyParams, _compile, _sweep, compile_policy,
                          encode_observation, init_policy_params, init_value_params,
                          masked_softmax, policy_circuit_for_size, reinforce_gradients,
                          value_forward)
-from hqrl.sim import (GATE_KINDS, ZZHamiltonian, _apply, all_z_expectations, basis_state,
-                      ry_product_state, run_circuit, z_readout_gradients, z_readouts)
+from hqrl.sim import GATE_KINDS, ZZHamiltonian, _apply, ry_product_state, z_readouts
+from oracles import basis_state, run_circuit, z_readout_gradients
 
 N_QUBITS, N_LAYERS = 4, 2
 PAIRS = [(i, j) for i in range(N_QUBITS) for j in range(i + 1, N_QUBITS)]
@@ -103,7 +103,7 @@ def test_compiled_readouts_match_run_circuit(rotation, qaoa, terms, data):
     circuit, values = _full_circuit(data, params, h)
     state = run_circuit(basis_state(N_QUBITS), circuit, values)
     compiled = ry_product_state(data) @ compile_policy(params, h)
-    np.testing.assert_allclose(z_readouts(compiled), all_z_expectations(state), atol=1e-12)
+    np.testing.assert_allclose(z_readouts(compiled), z_readouts(state.amplitudes), atol=1e-12)
 
 
 @PROPERTY
@@ -139,7 +139,7 @@ def _chained_policy_gradients(traj, params, vparams, h, value_baseline):
         advantage = target - value_forward(obs, vparams) if value_baseline else target
         data = encode_observation(obs, params)
         circuit, values = _full_circuit(data, params, h)
-        z = all_z_expectations(run_circuit(basis_state(N_QUBITS), circuit, values))
+        z = z_readouts(run_circuit(basis_state(N_QUBITS), circuit, values).amplitudes)
         mask = obs[-params.n_actions:] == 0.0
         probs = masked_softmax(params.head_w @ z + params.head_b, mask)
         loss -= np.log(probs[action]) * advantage

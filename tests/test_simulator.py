@@ -1,5 +1,8 @@
 """Statevector simulator checks against independently built dense matrices.
 
+They cover hqrl.sim's gate-by-gate simulator and the gate-by-gate oracles in
+tests/oracles.py, which the block kernel's own tests lean on.
+
 The oracle here never reuses the simulator's gate formulas: rotation and RZZ
 matrices come from scipy.linalg.expm applied to the generator, embedded into
 the full register by explicit basis-index arithmetic, and gradients are
@@ -10,10 +13,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hqrl.sim import (CircuitMetrics, GateOp, StateVector, ZZHamiltonian, all_z_expectations,
-                      apply_cost_layer, apply_gate, apply_mixer_layer, basis_state,
-                      circuit_metrics, expectation_z, expectation_zz, init_plus_state,
-                      parameter_shift_gradient, run_circuit, z_readout_gradients)
+from hqrl.sim import (CircuitMetrics, GateOp, StateVector, ZZHamiltonian, apply_gate,
+                      circuit_metrics, init_plus_state, z_readouts)
+from oracles import (apply_cost_layer, apply_mixer_layer, basis_state, expectation_z,
+                     expectation_zz, parameter_shift_gradient, run_circuit, z_readout_gradients)
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -223,11 +226,11 @@ def test_expectation_values():
         expectation_zz(basis_state(3), h)
 
 
-def test_all_z_expectations_matches_single_readouts():
+def test_z_readouts_match_single_readouts():
     rng = np.random.default_rng(9)
     state = _random_state(rng, 3)
     per_qubit = [expectation_z(state, q) for q in range(3)]
-    np.testing.assert_allclose(all_z_expectations(state), per_qubit, atol=1e-14)
+    np.testing.assert_allclose(z_readouts(state.amplitudes), per_qubit, atol=1e-14)
 
 
 def test_parameter_shift_single_ry():

@@ -12,19 +12,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqrl import policy, training
+from hqrl import policy, sim, training
 from hqrl.env import (VEHICLE_RULES, encode_state, generate_instance, reset, route_cost,
                       select_vehicle, state_dim, step, valid_action_mask)
 from hqrl.policy import (ENCODER_SCALE, ENCODER_SEED, N_LAYERS, N_QUBITS, PolicyParams,
                          action_codes, apply_update, init_policy_params, init_value_params,
                          reinforce_gradients)
-from hqrl.sim import ZZHamiltonian, ry_product_state
+from hqrl.sim import GateOp, ZZHamiltonian, ry_product_state
 from hqrl.solvers import brute_force_optimal
 from hqrl.training import (FINETUNE_EPISODES, TRAINED_METHODS, Checkpoint, EpisodeRecord,
                            RunConfig, _init_checkpoint, ablate, checkpoint_from_json,
                            checkpoint_to_json, config_from_dict, evaluate, finetune,
                            metrics_to_csv, peak_memory_estimate, policy_hamiltonian, rollout,
                            scalability_sweep, train, transfer_params)
+from hqrl.warmstart import run_warmstart
 
 TINY = RunConfig(method="hqrl-qaoa", n_customers=4, n_vehicles=2, episodes=6, seed=3,
                  warmstart_max_iters=25)
@@ -268,6 +269,27 @@ def test_train_builds_the_instance_once_and_the_circuit_maps_once_per_episode(mo
     count(policy, "_compile")
     train(replace(TINY, episodes=7))
     assert calls == {"generate_instance": 1, "_compile": 7}
+
+
+def test_training_and_the_warm_start_never_apply_a_gate_on_its_own(monkeypatch):
+    # They run on the block kernel; the gate-by-gate kernel sim._apply serves
+    # apply_gate alone, which the counter's last check calls to show it counts.
+    calls = Counter()
+    original = sim._apply
+
+    def counted(*args, **kwargs):
+        calls["_apply"] += 1
+        return original(*args, **kwargs)
+    monkeypatch.setattr(sim, "_apply", counted)
+
+    assert TINY.warm_start and TINY.method == "hqrl-qaoa"
+    _, ck = train(TINY)
+    _, tuned = finetune(ck, replace(TINY, n_customers=5, episodes=3))
+    evaluate(tuned, generate_instance(5, 2, 11))
+    run_warmstart(generate_instance(8, 2, 7), N_QUBITS, N_LAYERS)
+    assert calls["_apply"] == 0
+    sim.apply_gate(sim.init_plus_state(1), GateOp("H", (0,)))
+    assert calls["_apply"] == 1
 
 
 def test_transfer_rebuilds_encoder_blockwise():

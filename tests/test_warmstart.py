@@ -1,6 +1,7 @@
 """Warm-start pipeline tests: subgraph weights, ansatz expectation against a
-hand-derived closed form, optimizer contracts, grid-scan optimality, export,
-and the Nelder-Mead port against scipy.optimize.minimize, kept as its oracle.
+hand-derived closed form and against the gate-by-gate chain in
+tests/oracles.py, optimizer contracts, grid-scan optimality, export, and the
+Nelder-Mead port against scipy.optimize.minimize, kept as its oracle.
 
 The single-edge closed form used throughout: for one ZZ term of weight w and
 one cost+mixer round starting from |++>, writing out the four amplitudes gives
@@ -19,14 +20,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hqrl
+import oracles
 from hqrl import warmstart
 from hqrl.env import VrpInstance, generate_instance
-from hqrl.policy import init_policy_params
+from hqrl.policy import N_QUBITS, init_policy_params
 from hqrl.sim import ZZHamiltonian
-from hqrl.training import DEFAULT_SEEDS
-from hqrl.warmstart import (build_cost_hamiltonian, build_subgraph, export_warm_start,
-                            optimize_angles, qaoa_expectation, run_warmstart, save_warmstart,
-                            warmstart_to_json)
+from hqrl.training import DEFAULT_SEEDS, RunConfig, policy_hamiltonian
+from hqrl.warmstart import (MAX_ITERS, build_cost_hamiltonian, build_subgraph,
+                            export_warm_start, optimize_angles, qaoa_expectation, run_warmstart,
+                            save_warmstart, warmstart_to_json)
 
 
 def _closed_form(w: float, gamma: float, beta: float) -> float:
@@ -113,6 +115,28 @@ def test_qaoa_expectation_matches_single_edge_closed_form():
     h_unit = ZZHamiltonian(2, [(0, 1, 1.0)])
     peak = qaoa_expectation(h_unit, np.array([np.pi / 4]), np.array([np.pi / 8]))
     assert peak == pytest.approx(1.0, abs=1e-10)
+
+
+def test_qaoa_expectation_rejects_a_hamiltonian_wider_than_the_policy_register():
+    wide = ZZHamiltonian(N_QUBITS + 1, [(0, N_QUBITS, 1.0)])
+    with mock.patch.object(warmstart, "z_generators") as generators:
+        with pytest.raises(ValueError, match="policy register"):
+            qaoa_expectation(wide, np.zeros(1), np.zeros(1))
+    generators.assert_not_called()
+
+
+_ANGLE = st.floats(-2.0 * np.pi, 2.0 * np.pi, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 25),
+       layers=st.lists(st.tuples(_ANGLE, _ANGLE), min_size=1, max_size=3))
+def test_qaoa_expectation_on_the_blocks_matches_the_gate_by_gate_chain(seed, n, layers):
+    # N=1 leaves one qubit and no term; N=2..4 give 2..4 qubits, larger N four.
+    h = _hamiltonian(n, seed)
+    gammas, betas = np.array(layers).T
+    assert abs(qaoa_expectation(h, gammas, betas)
+               - oracles.qaoa_expectation(h, gammas, betas)) <= 1e-12
 
 
 def test_mixer_beta_plus_pi_symmetry():
@@ -280,6 +304,36 @@ def test_nelder_mead_port_stops_on_a_collapsed_simplex_as_scipy_does():
     result = _assert_port_equals_scipy(_hamiltonian(1, 3), 2, 400, 3)
     assert result.cost_history == [0.0]
     assert 1 < result.iterations_used < 400
+
+
+# (seed, N, K) of every two-layer warm start the acceptance gate runs (criteria
+# 3-9, and at full budget criterion 9's 10-evaluation CLI run), then of the CLI
+# artifact matrix's (tests/test_golden.py): train, warmstart, sweep, ablate.
+GATE_WARM_STARTS = ([(seed, n, 2) for seed in DEFAULT_SEEDS for n in (5, 8, 15, 25)]
+                    + [(7, 6, 2), (7, 10, 2), (7, 12, 2), (5, 4, 2)])
+GOLDEN_WARM_STARTS = [(7, 8, 2), (77, 8, 2), (5, 3, 1), (9, 2, 1), (7, 4, 2), (7, 5, 2)]
+
+
+def _assert_search_on_the_blocks_takes_the_chains_steps(h, p, seed):
+    blocks = optimize_angles(h, p, MAX_ITERS, seed)
+    with mock.patch.object(warmstart, "qaoa_expectation", oracles.qaoa_expectation):
+        chain = optimize_angles(h, p, MAX_ITERS, seed)
+    assert blocks.gammas.tobytes() == chain.gammas.tobytes()
+    assert blocks.betas.tobytes() == chain.betas.tobytes()
+    assert blocks.iterations_used == chain.iterations_used
+    assert abs(blocks.final_cost - chain.final_cost) <= 1e-12
+    assert len(blocks.cost_history) == len(chain.cost_history)
+    np.testing.assert_allclose(blocks.cost_history, chain.cost_history, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("seed, n, k", GATE_WARM_STARTS + GOLDEN_WARM_STARTS)
+def test_search_on_the_blocks_takes_the_steps_of_the_gate_by_gate_chain(seed, n, k):
+    h = policy_hamiltonian(RunConfig(n_customers=n, n_vehicles=k, seed=seed))
+    _assert_search_on_the_blocks_takes_the_chains_steps(h, 2, seed)
+
+
+def test_criterion_2s_single_edge_search_takes_the_chains_steps():
+    _assert_search_on_the_blocks_takes_the_chains_steps(ZZHamiltonian(2, [(0, 1, 1.0)]), 1, 0)
 
 
 class _Budget(Exception):
