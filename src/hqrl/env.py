@@ -230,6 +230,11 @@ def _coordinates(data: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
 
 def instance_from_json(data: dict) -> VrpInstance:
     """Inverse of instance_to_json; a malformed file raises ValueError naming the field."""
+    if not isinstance(data, dict):
+        raise ValueError("instance file is not a JSON object")
+    for key in ("n_customers", "n_vehicles", "seed", "depot", "customers"):
+        if key not in data:
+            raise ValueError(f"instance field {key!r} is missing")
     for key in ("n_customers", "n_vehicles", "seed"):
         if isinstance(data[key], bool) or not isinstance(data[key], int):
             raise ValueError(f"instance field {key!r} = {data[key]!r} is not an integer")

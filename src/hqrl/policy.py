@@ -9,8 +9,8 @@ distribution.
 
 After the data layer each layer is three blocks of commuting gates: RY and RX
 (each a 16x16 Kronecker product) around RZ and RZZ (one phase vector).  Their
-product is V(theta), built once per training episode for the rollout and the
-gradient pass; a forward pass is the data layer's product state times V.
+product is V(theta), built once per episode; each step's forward pass, the data
+layer's product state times V, runs once and the gradient pass reads its record.
 Circuit-angle gradients are the exact pi/2 shift rule, for a whole episode by
 one backward sweep over the blocks, chained to shared angles analytically.
 """
@@ -157,26 +157,21 @@ def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return probs
 
 
-def _masked_softmax_rows(logits: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """masked_softmax of every row of a (T, A) batch at once, equal to it to rounding."""
-    if not masks.any(axis=1).all():
-        raise ValueError("mask leaves no valid action")
-    top = logits.max(axis=1, initial=-np.inf, where=masks, keepdims=True)
-    weights = np.exp(logits - top, out=np.zeros_like(logits), where=masks)
-    return weights / weights.sum(axis=1, keepdims=True)
-
-
-def compiled_forward(state_vec: np.ndarray, params: PolicyParams, tail: np.ndarray,
-                     mask: np.ndarray) -> ActionDistribution:
-    """policy_forward with V(theta) already compiled by compile_policy."""
-    z = z_readouts(ry_product_state(encode_observation(state_vec, params)) @ tail)
-    return ActionDistribution(masked_softmax(params.head_w @ z + params.head_b, mask))
+def forward_step(state_vec: np.ndarray, params: PolicyParams, v: np.ndarray, mask: np.ndarray):
+    """One observation through the policy with V(theta) from compile_policy: (data
+    angles, product state, final state, <Z> readouts, masked-softmax probabilities)."""
+    data = encode_observation(state_vec, params)
+    product = ry_product_state(data)
+    final = product @ v
+    z = z_readouts(final)
+    return data, product, final, z, masked_softmax(params.head_w @ z + params.head_b, mask)
 
 
 def policy_forward(state_vec: np.ndarray, params: PolicyParams, h_policy: ZZHamiltonian,
                    mask: np.ndarray) -> ActionDistribution:
     """Action distribution for one observation; masked cities get probability 0."""
-    return compiled_forward(state_vec, params, compile_policy(params, h_policy), mask)
+    return ActionDistribution(forward_step(state_vec, params, compile_policy(params, h_policy),
+                                           mask)[-1])
 
 
 def sample_action(dist: ActionDistribution, rng: np.random.Generator,
@@ -239,19 +234,24 @@ def reinforce_gradients(trajectory, params: PolicyParams, vparams: ValueParams,
     keyed like the parameter fields.  All steps of the episode go through V,
     compiled once, and one backward sweep over the blocks.
     """
-    return _reinforce_gradients(trajectory, params, vparams, h_policy,
-                                _compile(params, h_policy), value_baseline)
+    compiled = _compile(params, h_policy)
+    forwards = [forward_step(s, params, compiled[1], s[-params.n_actions:] == 0.0)
+                for s in np.asarray(trajectory.states, dtype=float)]
+    return _reinforce_gradients(trajectory, forwards, params, vparams, h_policy, compiled,
+                                value_baseline)
 
 
-def _reinforce_gradients(trajectory, params: PolicyParams, vparams: ValueParams,
+def _reinforce_gradients(trajectory, forwards, params: PolicyParams, vparams: ValueParams,
                          h_policy: ZZHamiltonian, compiled, value_baseline: bool):
-    """reinforce_gradients with the blocks and V(theta) already built (_compile)."""
+    """reinforce_gradients with the blocks and V(theta) already built (_compile) and
+    every step's forward_step already taken."""
     states = np.asarray(trajectory.states, dtype=float)
     actions = np.asarray(trajectory.actions, dtype=int)
     targets = np.asarray(trajectory.normalized_returns, dtype=float)
     t_len = actions.shape[0]
     steps = np.arange(t_len)
     masks = states[:, -params.n_actions:] == 0.0
+    data_angles, product, final, z, probs = map(np.array, zip(*forwards))
 
     if value_baseline:
         hidden = np.tanh(states @ vparams.w1.T + vparams.b1)
@@ -267,13 +267,6 @@ def _reinforce_gradients(trajectory, params: PolicyParams, vparams: ValueParams,
         value_loss = 0.0
         advantage = targets
 
-    pre = states @ params.encoder_w.T + params.encoder_b
-    data_angles = np.pi * np.tanh(pre)
-    product = ry_product_state(data_angles)
-    final = product @ compiled[1]
-    z = z_readouts(final)
-    logits = z @ params.head_w.T + params.head_b
-    probs = _masked_softmax_rows(logits, masks)
     policy_loss = -np.sum(np.log(probs[steps, actions]) * advantage)
 
     d_logits = probs.copy()  # d(policy_loss)/d(logits)
@@ -290,8 +283,8 @@ def _reinforce_gradients(trajectory, params: PolicyParams, vparams: ValueParams,
     pg["qaoa_angles"] = np.column_stack([
         2.0 * layers[:, 2 * N_QUBITS:-N_QUBITS] @ [w for _, _, w in h_policy.terms],
         2.0 * layers[:, -N_QUBITS:].sum(axis=1)])
-    # data slot q loads qubit q with gate scale 1
-    d_pre = d_data * np.pi * (1.0 - np.tanh(pre) ** 2)
+    # data slot q loads qubit q with gate scale 1; d(pi tanh x)/dx = pi - a^2/pi
+    d_pre = d_data * (np.pi - data_angles**2 / np.pi)
     pg["encoder_w"] = d_pre.T @ states
     pg["encoder_b"] = d_pre.sum(axis=0)
     return pg, vg, float(policy_loss), float(value_loss)

@@ -17,9 +17,9 @@ from . import solvers
 from .env import (DISCOUNT, INVALID_PENALTY, VEHICLE_RULES, Trajectory, VrpInstance,
                   discounted_returns, distance_tables, encode_state, generate_instance, reset,
                   state_dim, table_step, write_atomic)
-from .policy import (N_LAYERS, N_QUBITS, AdamState, PolicyParams, ValueParams, _compile,
-                     _reinforce_gradients, adam_init, apply_update, compile_policy,
-                     compiled_forward, init_policy_params, init_value_params,
+from .policy import (N_LAYERS, N_QUBITS, ActionDistribution, AdamState, PolicyParams,
+                     ValueParams, _compile, _reinforce_gradients, adam_init, apply_update,
+                     compile_policy, forward_step, init_policy_params, init_value_params,
                      policy_circuit_for_size, sample_action)
 from .sim import ZZHamiltonian, circuit_metrics
 from .warmstart import (MAX_ITERS, build_cost_hamiltonian, build_subgraph, export_warm_start,
@@ -81,6 +81,8 @@ class RunConfig:
 
 
 def config_from_dict(data: dict) -> RunConfig:
+    if not isinstance(data, dict):
+        raise ValueError(f"config is a {type(data).__name__}, not a JSON object")
     data = dict(data)
     for key, fixed in LEGACY_SHAPE_KEYS.items():
         if key in data and data.pop(key) != fixed:
@@ -146,23 +148,23 @@ def rollout(instance: VrpInstance, params: PolicyParams, h_policy: ZZHamiltonian
     """One masked episode; returns (trajectory, routes, total_reward, cost).  A masked
     episode never picks a served city, so the invalid-action penalty never applies."""
     return _rollout(instance, params, distance_tables(instance),
-                    compile_policy(params, h_policy), rng, greedy, rule, discount)
+                    compile_policy(params, h_policy), rng, greedy, rule, discount)[:4]
 
 
 def _rollout(instance, params, tables, v, rng, greedy, rule, discount):
     """rollout on the instance's distance_tables and V(theta) already compiled, the
-    environment moved as env.step moves it."""
+    environment moved as env.step moves it; also returns every step's forward_step."""
     n, k = instance.n_customers, instance.n_vehicles
     obs = encode_state(instance, reset(instance))
     states = np.empty((n, obs.size))
     where = np.zeros(k, dtype=int)
-    actions, rewards = [], []
+    actions, rewards, forwards = [], [], []
     routes: dict[int, list[int]] = {j: [] for j in range(k)}
     total = 0.0
     for t in range(n):
         states[t] = obs
-        dist = compiled_forward(obs, params, v, obs[-n:] == 0.0)
-        action = sample_action(dist, rng, greedy=greedy)
+        forwards.append(forward_step(obs, params, v, obs[-n:] == 0.0))
+        action = sample_action(ActionDistribution(forwards[-1][-1]), rng, greedy=greedy)
         vehicle, reward = table_step(tables, where, action, t, t == n - 1, rule)
         obs[2 * vehicle:2 * vehicle + 2] = instance.customers[action]
         obs[2 * (k + n) + action] = 1.0  # visited
@@ -173,7 +175,7 @@ def _rollout(instance, params, tables, v, rng, greedy, rule, discount):
     rewards = np.array(rewards)
     returns, normalized = discounted_returns(rewards, discount)
     traj = Trajectory(states, np.array(actions), rewards, returns, normalized)
-    return traj, routes, total, -total
+    return traj, routes, total, -total, forwards
 
 
 def _init_checkpoint(config: RunConfig, h_policy: ZZHamiltonian) -> Checkpoint:
@@ -190,7 +192,7 @@ def _init_checkpoint(config: RunConfig, h_policy: ZZHamiltonian) -> Checkpoint:
 
 def _run_episodes(ck: Checkpoint, instance: VrpInstance,
                   h_policy: ZZHamiltonian) -> tuple[TrainingLog, Checkpoint]:
-    """The config's episodes; each builds the blocks and V(theta) once, for both passes."""
+    """The config's episodes; each compiles V(theta) once and runs one forward pass per step."""
     config = ck.config
     rng = np.random.default_rng([config.seed, 1])
     params, vparams, opt = ck.params, ck.vparams, ck.opt
@@ -199,10 +201,10 @@ def _run_episodes(ck: Checkpoint, instance: VrpInstance,
     records: list[EpisodeRecord] = []
     for episode in range(config.episodes):
         compiled = _compile(params, h_policy)
-        traj, _, total, cost = _rollout(instance, params, tables, compiled[1], rng, False,
-                                        config.vehicle_rule, config.discount)
-        pg, vg, ploss, vloss = _reinforce_gradients(traj, params, vparams, h_policy, compiled,
-                                                    config.value_baseline)
+        traj, _, total, cost, forwards = _rollout(instance, params, tables, compiled[1], rng,
+                                                  False, config.vehicle_rule, config.discount)
+        pg, vg, ploss, vloss = _reinforce_gradients(traj, forwards, params, vparams, h_policy,
+                                                    compiled, config.value_baseline)
         if not (np.isfinite(ploss) and np.isfinite(vloss)):
             raise RuntimeError(f"non-finite loss at episode {episode}: "
                                f"policy={ploss}, value={vloss}")
@@ -341,16 +343,17 @@ def scalability_sweep(sizes: list[int], config: RunConfig) -> list[ComparisonRow
     search needs N*K qubits and exponential depth; flat QAOA on the full
     problem needs N qubits and depth O(p*N)); they are not measured here.
     """
+    # every size's configs are built, and so checked, before any training
+    runs = [[replace(config, method=method, n_customers=size, warm_start=method == "hqrl-qaoa")
+             for method in TRAINED_METHODS] for size in sizes]
     rows: list[ComparisonRow] = []
-    for size in sizes:
-        for method in TRAINED_METHODS:
-            cfg = replace(config, method=method, n_customers=size,
-                          warm_start=method == "hqrl-qaoa")
+    for size, cfgs in zip(sizes, runs):
+        for cfg in cfgs:
             log, ck = train(cfg)
             instance, h_policy = _problem(cfg)
             result = evaluate(ck, instance)
             metrics = circuit_metrics(policy_circuit_for_size(ck.params, h_policy)[0])
-            rows.append(ComparisonRow(method, size, result.normalized_cost,
+            rows.append(ComparisonRow(cfg.method, size, result.normalized_cost,
                                       metrics.qubit_count, metrics.depth,
                                       log.peak_mem_bytes))
         rows.append(ComparisonRow("gas-analytic", size, "n/a",
@@ -372,18 +375,20 @@ def ablate(base: RunConfig, sizes: list[int],
         "no-warm-start": replace(base, warm_start=False),
         "no-value-baseline": replace(base, value_baseline=False),
     }
+    # every size's configs are built, and so checked, before any training
+    targets = {name: [replace(cfg, n_customers=size, episodes=finetune_episodes)
+                      for size in sizes] for name, cfg in variants.items()}
+    scratch = [replace(base, n_customers=size) for size in sizes]
     rows: list[ComparisonRow] = []
     for name, cfg in variants.items():
         _, pretrained = train(cfg)
-        for size in sizes:
-            target = replace(cfg, n_customers=size, episodes=finetune_episodes)
+        for size, target in zip(sizes, targets[name]):
             _, ck = finetune(pretrained, target)
             instance = generate_instance(size, cfg.n_vehicles, cfg.seed)
             rows.append(ComparisonRow(name, size, evaluate(ck, instance).normalized_cost,
                                       "", "", ""))
-    for size in sizes:
-        scratch = replace(base, n_customers=size)
-        _, ck = train(scratch)
+    for size, cfg in zip(sizes, scratch):
+        _, ck = train(cfg)
         instance = generate_instance(size, base.n_vehicles, base.seed)
         rows.append(ComparisonRow("no-fine-tune", size,
                                   evaluate(ck, instance).normalized_cost, "", "", ""))
@@ -410,30 +415,45 @@ def checkpoint_to_json(ck: Checkpoint) -> dict:
 
 
 def checkpoint_from_json(data: dict) -> Checkpoint:
-    config = config_from_dict(data["config"])
-    params = PolicyParams(
-        encoder_w=np.array(data["encoder_weights"]["w"], dtype=float),
-        encoder_b=np.array(data["encoder_weights"]["b"], dtype=float),
-        rotation_angles=np.array(data["rotation_angles"], dtype=float),
-        qaoa_angles=np.array(data["qaoa_angles"], dtype=float),
-        head_w=np.array(data["head_weights"]["w"], dtype=float),
-        head_b=np.array(data["head_weights"]["b"], dtype=float),
-    )
-    vparams = ValueParams(
-        w1=np.array(data["value_params"]["w1"], dtype=float),
-        b1=np.array(data["value_params"]["b1"], dtype=float),
-        w2=np.array(data["value_params"]["w2"], dtype=float),
-        b2=np.array(data["value_params"]["b2"], dtype=float),
-    )
-    opt = AdamState(
-        step=_counter(data["optimizer_state"]["step"], "optimizer_state.step"),
-        m={k: np.array(v, dtype=float) for k, v in data["optimizer_state"]["m"].items()},
-        v={k: np.array(v, dtype=float) for k, v in data["optimizer_state"]["v"].items()},
-    )
+    """Inverse of checkpoint_to_json; a malformed file raises ValueError naming the field."""
+    config = config_from_dict(_field(data, "config"))
+    params = PolicyParams(*(_array(data, *path) for path in (
+        ("encoder_weights", "w"), ("encoder_weights", "b"), ("rotation_angles",),
+        ("qaoa_angles",), ("head_weights", "w"), ("head_weights", "b"))))
+    vparams = ValueParams(*(_array(data, "value_params", k) for k in ("w1", "b1", "w2", "b2")))
+    moments = []
+    for part in ("m", "v"):
+        group = _field(data, "optimizer_state", part)
+        if not isinstance(group, dict):
+            raise ValueError(f"checkpoint field optimizer_state.{part} is not a JSON object")
+        moments.append({k: _array(data, "optimizer_state", part, k) for k in group})
+    opt = AdamState(_counter(_field(data, "optimizer_state", "step"), "optimizer_state.step"),
+                    *moments)
     ck = Checkpoint(config, params, vparams, opt,
-                    _counter(data["episode_count"], "episode_count"))
+                    _counter(_field(data, "episode_count"), "episode_count"))
     _check_arrays(ck)
     return ck
+
+
+def _field(data, *path: str):
+    """The entry at path through nested JSON objects."""
+    for depth, key in enumerate(path):
+        if not isinstance(data, dict):
+            where = f"field {'.'.join(path[:depth])}" if depth else "file"
+            raise ValueError(f"checkpoint {where} is not a JSON object")
+        if key not in data:
+            raise ValueError(f"checkpoint field {'.'.join(path[:depth + 1])} is missing")
+        data = data[key]
+    return data
+
+
+def _array(data, *path: str) -> np.ndarray:
+    value = _field(data, *path)
+    try:
+        return np.array(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint field {'.'.join(path)} is not a numeric array: "
+                         f"{exc}") from None
 
 
 def _counter(value, field: str) -> int:

@@ -284,6 +284,19 @@ def test_bad_config_types_and_vanilla_warm_start_exit_3_before_work(tmp_path, ca
     assert main([*vanilla, "--no-warm-start", "--out", str(tmp_path / "vanilla")]) == 0
 
 
+@pytest.mark.parametrize("command", ["sweep", "ablate"])
+def test_sweep_and_ablate_reject_a_bad_size_before_any_training(tmp_path, capsys, monkeypatch,
+                                                                 command):
+    monkeypatch.delenv("HQRL_SEED", raising=False)
+    trained = []
+    monkeypatch.setattr(training, "train", lambda cfg: trained.append(cfg))
+    out = tmp_path / command
+    assert main([command, "--sizes", "4,1", "--episodes", "2", "--out", str(out)]) == 3
+    assert "n_vehicles=2 is outside [1, n_customers=1]" in _last_error(capsys)["detail"]
+    assert trained == []
+    assert not out.exists()
+
+
 def test_evaluate_rejects_bad_checkpoint_arrays_with_exit_3(tmp_path, capsys, monkeypatch):
     monkeypatch.delenv("HQRL_SEED", raising=False)
     run = tmp_path / "run"

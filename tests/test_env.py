@@ -299,6 +299,8 @@ def test_instance_from_json_rejects_bad_customer_shape():
         instance_from_json(short)
     with pytest.raises(ValueError, match="'customers'.*shape"):
         instance_from_json(_bad_instance(customers=[[0.1, 0.2, 0.3]] * 4))
+    with pytest.raises(ValueError, match="'customers' is not a coordinate array"):
+        instance_from_json(_bad_instance(customers=[[0.1, 0.2]] * 3 + [[0.1]]))
 
 
 def test_instance_from_json_rejects_non_finite_coordinates():
@@ -324,6 +326,13 @@ def test_instance_from_json_rejects_non_integer_counts_and_seed():
                      ("seed", "7"), ("n_customers", None)):
         with pytest.raises(ValueError, match=f"'{key}'"):
             instance_from_json(_bad_instance(**{key: bad}))
+    for key in instance_to_json(generate_instance(4, 2, 3)):
+        data = _bad_instance()
+        del data[key]
+        with pytest.raises(ValueError, match=f"'{key}' is missing"):
+            instance_from_json(data)
+    with pytest.raises(ValueError, match="instance file is not a JSON object"):
+        instance_from_json([_bad_instance()])
 
 
 def _with_coincident_points(instance: VrpInstance, rng) -> VrpInstance:

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from hqrl.env import Trajectory, encode_state, generate_instance, reset, state_dim, step, valid_action_mask
-from hqrl.policy import (ENCODER_SEED, ActionDistribution, _masked_softmax_rows, action_codes,
+from hqrl.policy import (ENCODER_SEED, ActionDistribution, action_codes,
                          adam_init, apply_update, encode_observation, init_policy_params,
                          init_value_params, masked_softmax, policy_circuit_for_size,
                          policy_forward, reinforce_gradients, sample_action, value_forward)
@@ -302,22 +302,6 @@ def test_adam_update_contracts():
     np.testing.assert_allclose(params.qaoa_angles - a1.qaoa_angles, 0.01, rtol=1e-6)
     np.testing.assert_allclose(params.head_w - a1.head_w, 0.001, rtol=1e-6)
     np.testing.assert_allclose(params.encoder_w - a1.encoder_w, 0.001, rtol=1e-6)
-
-
-def test_batched_softmax_matches_masked_softmax_row_by_row():
-    rng = np.random.default_rng(4)
-    for _ in range(500):
-        t, a = int(rng.integers(1, 12)), int(rng.integers(1, 26))
-        logits = rng.normal(0.0, rng.uniform(0.1, 20.0), (t, a))
-        masks = rng.random((t, a)) < rng.uniform(0.1, 1.0)
-        masks[np.arange(t), rng.integers(0, a, t)] = True
-        probs = _masked_softmax_rows(logits, masks)
-        assert probs.shape == (t, a) and (probs[~masks] == 0.0).all()
-        for row, mask, got in zip(logits, masks, probs):
-            np.testing.assert_allclose(got, masked_softmax(row, mask), rtol=0.0, atol=1e-15)
-    masks[-1] = False
-    with pytest.raises(ValueError, match="no valid action"):
-        _masked_softmax_rows(logits, masks)
 
 
 def test_bandit_improves_target_action_probability():

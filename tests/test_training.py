@@ -265,10 +265,47 @@ def test_train_builds_the_instance_once_and_the_circuit_maps_once_per_episode(mo
     for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "hqrl"]:
         if getattr(module, "generate_instance", None) is generate_instance:
             count(module, "generate_instance")
-    count(training, "_compile")
-    count(policy, "_compile")
+    for name in ("_compile", "forward_step"):
+        count(training, name)
+        count(policy, name)
     train(replace(TINY, episodes=7))
-    assert calls == {"generate_instance": 1, "_compile": 7}
+    # one forward pass per step: the gradient pass reads the rollout's
+    assert calls == {"generate_instance": 1, "_compile": 7,
+                     "forward_step": 7 * TINY.n_customers}
+
+
+def _recorded_rollout():
+    """A rollout of TINY's instance under random parameters, with its forward passes."""
+    instance, h = training._problem(TINY)
+    params = _random_params(TINY.n_customers, TINY.n_vehicles, 4)
+    compiled = policy._compile(params, h)
+    out = training._rollout(instance, params, training.distance_tables(instance), compiled[1],
+                            np.random.default_rng(5), False, TINY.vehicle_rule, TINY.discount)
+    return out, params, h, compiled
+
+
+def test_rollout_records_the_probabilities_policy_forward_gives():
+    (traj, _, _, _, forwards), params, h, _ = _recorded_rollout()
+    assert len(forwards) == len(traj.states) == TINY.n_customers
+    for state, record in zip(traj.states, forwards):
+        mask = state[-TINY.n_customers:] == 0.0
+        np.testing.assert_array_equal(record[-1],
+                                      policy.policy_forward(state, params, h, mask).probabilities)
+
+
+@pytest.mark.parametrize("value_baseline", [True, False])
+def test_public_gradients_equal_the_gradients_from_the_rollouts_records(value_baseline):
+    (traj, _, _, _, forwards), params, h, compiled = _recorded_rollout()
+    vparams = init_value_params(state_dim(TINY.n_customers, TINY.n_vehicles),
+                                np.random.default_rng(6))
+    public = reinforce_gradients(traj, params, vparams, h, value_baseline)
+    recorded = policy._reinforce_gradients(traj, forwards, params, vparams, h, compiled,
+                                           value_baseline)
+    for got, expected in zip(public[:2], recorded[:2]):
+        assert got.keys() == expected.keys()
+        for name in got:
+            np.testing.assert_array_equal(got[name], expected[name], err_msg=name)
+    assert public[2:] == recorded[2:]
 
 
 def test_training_and_the_warm_start_never_apply_a_gate_on_its_own(monkeypatch):
@@ -390,13 +427,20 @@ def test_checkpoint_json_round_trip():
     assert _dump(restored) == _dump(ck)
 
 
+DELETED = object()
+
+
 def _corrupted(data: dict, path: tuple, value) -> dict:
-    """A copy of checkpoint JSON with the entry at `path` (keys and indices) replaced."""
+    """A copy of checkpoint JSON with the entry at `path` (keys and indices) replaced,
+    or removed when value is DELETED."""
     data = json.loads(json.dumps(data))
     node = data
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if value is DELETED:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
     return data
 
 
@@ -422,10 +466,24 @@ def test_checkpoint_from_json_rejects_bad_arrays():
         (("episode_count",), 2.7, "episode_count"),
         (("episode_count",), -3, "episode_count"),
         (("episode_count",), "3", "episode_count"),
+        (("config",), DELETED, "config is missing"),
+        (("value_params",), DELETED, "value_params is missing"),
+        (("value_params", "w2"), DELETED, "value_params.w2 is missing"),
+        (("episode_count",), DELETED, "episode_count is missing"),
+        (("optimizer_state", "step"), DELETED, "optimizer_state.step is missing"),
+        (("optimizer_state", "v"), [1.0], "optimizer_state.v is not a JSON object"),
+        (("head_weights",), [1.0], "head_weights is not a JSON object"),
+        (("config",), [], "config is a list"),
+        (("encoder_weights", "w", 1), [0.5], "encoder_weights.w is not a numeric array"),
+        (("optimizer_state", "m", "rotation_angles", 0, 1, 0), [0.1, 0.2],
+         "optimizer_state.m.rotation_angles is not a numeric array"),
+        (("qaoa_angles", 0, 0), "abc", "qaoa_angles is not a numeric array"),
     ]
     for path, value, field in cases:
         with pytest.raises(ValueError, match=field):
             checkpoint_from_json(_corrupted(data, path, value))
+    with pytest.raises(ValueError, match="checkpoint file is not a JSON object"):
+        checkpoint_from_json([data])
     assert _dump(checkpoint_from_json(data)) == _dump(ck)
 
 
