@@ -57,6 +57,8 @@ def matrix() -> list[str]:
     return lines + [
         "train --n 3 --k 1 --seed 5 --out n3k1",
         "train --n 2 --k 1 --seed 9 --out n2k1",
+        "train --n 1 --k 1 --seed 3 --out n1k1",
+        "evaluate --checkpoint n1k1/checkpoint.json --instance n1k1/instance.json --out n1k1",
         "sweep --sizes 4,5 --episodes 5 --seed 7 --out sweep",
         "ablate --sizes 4 --n 4 --episodes 4 --seed 7 --out ablate",
     ]
