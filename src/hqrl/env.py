@@ -216,9 +216,22 @@ def instance_to_json(instance: VrpInstance) -> dict:
     }
 
 
+def json_array(value) -> np.ndarray:
+    """A JSON number or nested lists of them as a float array.  A string or boolean
+    anywhere raises TypeError: np.array(..., dtype=float) would parse "0.5" and true."""
+    items = [value]
+    while items:
+        item = items.pop()
+        if isinstance(item, list):
+            items.extend(item)
+        elif isinstance(item, (str, bool)):
+            raise TypeError(f"{item!r} is not a number")
+    return np.array(value, dtype=float)
+
+
 def _coordinates(data: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
     try:
-        coords = np.array(data[key], dtype=float)
+        coords = json_array(data[key])
     except (TypeError, ValueError) as exc:
         raise ValueError(f"instance field {key!r} is not a coordinate array: {exc}") from None
     if coords.shape != shape:

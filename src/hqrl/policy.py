@@ -9,8 +9,9 @@ distribution.
 
 After the data layer each layer is three blocks of commuting gates: RY and RX
 (each a 16x16 Kronecker product) around RZ and RZZ (one phase vector).  Their
-product is V(theta), built once per episode; each step's forward pass, the data
-layer's product state times V, runs once and the gradient pass reads its record.
+product is V(theta), built once per episode on the circuit terms a run builds
+once; each step's forward pass, the data layer's product state times V, runs
+once and the gradient pass reads its record.
 Circuit-angle gradients are the exact pi/2 shift rule, for a whole episode by
 one backward sweep over the blocks, chained to shared angles analytically.
 """
@@ -116,33 +117,38 @@ def encode_observation(state_vec: np.ndarray, params: PolicyParams) -> np.ndarra
     return np.pi * np.tanh(params.encoder_w @ state_vec + params.encoder_b)
 
 
-def _layer_angles(params: PolicyParams, h_policy: ZZHamiltonian) -> np.ndarray:
-    """(L, 3Q + terms) gate angles, per layer: RY, RZ, RZZ(2 gamma_l w), RX(2 beta_l)."""
+def circuit_terms(h_policy: ZZHamiltonian) -> tuple[np.ndarray, np.ndarray]:
+    """The RZZ weight vector and the phase vectors' generators (sim.z_generators: Z per
+    qubit, then ZZ per term) of the policy Hamiltonian, which a run builds once."""
     weights = np.array([w for _, _, w in h_policy.terms])
+    return weights, z_generators(N_QUBITS, [(i, j) for i, j, _ in h_policy.terms])
+
+
+def _layer_angles(params: PolicyParams, weights: np.ndarray) -> np.ndarray:
+    """(L, 3Q + terms) gate angles, per layer: RY, RZ, RZZ(2 gamma_l w), RX(2 beta_l)."""
     gamma, beta = params.qaoa_angles.T
     return np.concatenate([params.rotation_angles[:, :, 0], params.rotation_angles[:, :, 1],
                            2.0 * gamma[:, None] * weights,
                            np.repeat(2.0 * beta[:, None], N_QUBITS, axis=1)], axis=1)
 
 
-def _compile(params: PolicyParams, h_policy: ZZHamiltonian):
+def _compile(params: PolicyParams, terms: tuple[np.ndarray, np.ndarray]):
     """The blocks after the data layer, stacked over layers (RY maps, RZ/RZZ phase
     vectors, RX maps), V(theta), their ordered product on row states, and the
-    phase vectors' generators (sim.z_generators)."""
-    angles = _layer_angles(params, h_policy)
-    generators = z_generators(N_QUBITS, [(i, j) for i, j, _ in h_policy.terms])
+    circuit_terms they were built from."""
+    angles = _layer_angles(params, terms[0])
     blocks = (rotation_layer("RY", angles[:, :N_QUBITS]),
-              np.exp(-0.5j * (angles[:, N_QUBITS:-N_QUBITS] @ generators.T)),
+              np.exp(-0.5j * (angles[:, N_QUBITS:-N_QUBITS] @ terms[1].T)),
               rotation_layer("RX", angles[:, -N_QUBITS:]))
     v = np.eye(2**N_QUBITS)
     for ry, phases, rx in zip(*blocks):
         v = (v @ ry * phases) @ rx
-    return blocks, v, generators
+    return blocks, v, terms
 
 
 def compile_policy(params: PolicyParams, h_policy: ZZHamiltonian) -> np.ndarray:
     """V(theta): every gate after the data layer as one matrix on row states."""
-    return _compile(params, h_policy)[1]
+    return _compile(params, circuit_terms(h_policy))[1]
 
 
 def masked_softmax(logits: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -207,7 +213,7 @@ def _sweep(data_angles: np.ndarray, states: np.ndarray, final: np.ndarray, compi
     exp(-i theta G / 2) before the unitary U has gradient Im tr(G B) for
     B = U^dagger (sum_t |phi_t><phi_t| O_t) U, the shift rule's exact value as
     G^2 = I.  Gates of one block commute and share B, which moves as U_b^dagger B U_b."""
-    blocks, v, generators = compiled
+    blocks, v, (_, generators) = compiled
     back = (readout_weights @ _z_sign_matrix(N_QUBITS).T) * np.conj(final)  # O_t phi_t, conj
     b = v.T @ (states.T @ back)
     grads = []
@@ -234,17 +240,16 @@ def reinforce_gradients(trajectory, params: PolicyParams, vparams: ValueParams,
     keyed like the parameter fields.  All steps of the episode go through V,
     compiled once, and one backward sweep over the blocks.
     """
-    compiled = _compile(params, h_policy)
+    compiled = _compile(params, circuit_terms(h_policy))
     forwards = [forward_step(s, params, compiled[1], s[-params.n_actions:] == 0.0)
                 for s in np.asarray(trajectory.states, dtype=float)]
-    return _reinforce_gradients(trajectory, forwards, params, vparams, h_policy, compiled,
-                                value_baseline)
+    return _reinforce_gradients(trajectory, forwards, params, vparams, compiled, value_baseline)
 
 
 def _reinforce_gradients(trajectory, forwards, params: PolicyParams, vparams: ValueParams,
-                         h_policy: ZZHamiltonian, compiled, value_baseline: bool):
-    """reinforce_gradients with the blocks and V(theta) already built (_compile) and
-    every step's forward_step already taken."""
+                         compiled, value_baseline: bool):
+    """reinforce_gradients with the blocks, V(theta) and circuit terms already built
+    (_compile) and every step's forward_step already taken."""
     states = np.asarray(trajectory.states, dtype=float)
     actions = np.asarray(trajectory.actions, dtype=int)
     targets = np.asarray(trajectory.normalized_returns, dtype=float)
@@ -274,19 +279,16 @@ def _reinforce_gradients(trajectory, forwards, params: PolicyParams, vparams: Va
     d_logits[~masks] = 0.0
     d_logits *= advantage[:, None]
 
-    pg = _zero_grads(params)
-    pg["head_w"] = d_logits.T @ z
-    pg["head_b"] = d_logits.sum(axis=0)
     d_data, d_gates = _sweep(data_angles, product, final, compiled, d_logits @ params.head_w)
     layers = d_gates.reshape(N_LAYERS, -1)  # per layer: RY, RZ, RZZ, RX
-    pg["rotation_angles"] = np.stack([layers[:, :N_QUBITS], layers[:, N_QUBITS:2 * N_QUBITS]], -1)
-    pg["qaoa_angles"] = np.column_stack([
-        2.0 * layers[:, 2 * N_QUBITS:-N_QUBITS] @ [w for _, _, w in h_policy.terms],
-        2.0 * layers[:, -N_QUBITS:].sum(axis=1)])
     # data slot q loads qubit q with gate scale 1; d(pi tanh x)/dx = pi - a^2/pi
     d_pre = d_data * (np.pi - data_angles**2 / np.pi)
-    pg["encoder_w"] = d_pre.T @ states
-    pg["encoder_b"] = d_pre.sum(axis=0)
+    pg = {  # in PolicyParams' field order, which Adam's moments keep
+        "encoder_w": d_pre.T @ states, "encoder_b": d_pre.sum(axis=0),
+        "rotation_angles": np.stack([layers[:, :N_QUBITS], layers[:, N_QUBITS:2 * N_QUBITS]], -1),
+        "qaoa_angles": np.column_stack([2.0 * layers[:, 2 * N_QUBITS:-N_QUBITS] @ compiled[2][0],
+                                        2.0 * layers[:, -N_QUBITS:].sum(axis=1)]),
+        "head_w": d_logits.T @ z, "head_b": d_logits.sum(axis=0)}
     return pg, vg, float(policy_loss), float(value_loss)
 
 
@@ -335,4 +337,5 @@ def policy_circuit_for_size(params: PolicyParams, h_policy: ZZHamiltonian):
              + [("RZZ", (i, j)) for i, j, _ in h_policy.terms] + [("RX", t) for t in qubits])
     gates = [("RY", t) for t in qubits] + layer * N_LAYERS
     circuit = tuple(GateOp(kind, targets, slot=k) for k, (kind, targets) in enumerate(gates))
-    return circuit, np.concatenate([np.zeros(N_QUBITS), _layer_angles(params, h_policy).ravel()])
+    weights = circuit_terms(h_policy)[0]
+    return circuit, np.concatenate([np.zeros(N_QUBITS), _layer_angles(params, weights).ravel()])

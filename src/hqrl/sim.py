@@ -2,10 +2,11 @@
 
 Two parts share the conventions below:
 - The block kernel that training and the warm start run on.  A layer of RX
-  or RY rotations is one 2^n x 2^n map (`rotation_layer`), a layer of RZ and
-  RZZ gates one phase vector over the diagonals of `z_generators`, and the
-  data layer a real product state (`ry_product_state`); `z_readouts` and
-  `pauli_rows` read states and gradients off them.
+  or RY rotations is one 2^n x 2^n map (`rotation_layer`, one gather by an
+  index built once per width), a layer of RZ and RZZ gates one phase vector
+  over the diagonals of `z_generators`, and the data layer a real product
+  state (`ry_product_state`); `z_readouts` and `pauli_rows` read states and
+  gradients off them.
 - A gate-by-gate simulator (`StateVector`, `GateOp`, `apply_gate`), which
   acceptance criterion 2 runs over long random gate sequences, and
   `circuit_metrics` for a gate list.
@@ -190,6 +191,16 @@ def ry_product_state(angles: np.ndarray) -> np.ndarray:
                    axis=-1)
 
 
+@lru_cache(maxsize=64)
+def _rotation_index(n: int) -> np.ndarray:
+    """(n, 2^n, 2^n) gather index of rotation_layer: entry [q, a, b] is 4q + 2 *
+    (bit q of b) + bit q of a, the place of R_q[bit q of b, bit q of a]."""
+    bits = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).T  # (n, 2**n)
+    index = 4 * np.arange(n)[:, None, None] + 2 * bits[:, None, :] + bits[:, :, None]
+    index.setflags(write=False)
+    return index
+
+
 def rotation_layer(kind: str, angles: np.ndarray) -> np.ndarray:
     """RX or RY(angles[..., q]) on each qubit q as one map M on row states (psi
     evolves to psi @ M), a stack of maps for leading axes: M[a, b] is the product
@@ -199,9 +210,7 @@ def rotation_layer(kind: str, angles: np.ndarray) -> np.ndarray:
     rot = np.stack({"RX": [c, -1j * s, -1j * s, c], "RY": [c, -s, s, c]}[kind], axis=-1,
                    dtype=np.complex128)  # (..., n, 4): rows of each 2x2 in turn
     n = half.shape[-1]
-    bits = ((np.arange(2**n)[:, None] >> np.arange(n)) & 1).T  # (n, 2**n)
-    index = 4 * np.arange(n)[:, None, None] + 2 * bits[:, None, :] + bits[:, :, None]
-    return rot.reshape(*half.shape[:-1], 4 * n)[..., index].prod(axis=-3)
+    return rot.reshape(*half.shape[:-1], 4 * n)[..., _rotation_index(n)].prod(axis=-3)
 
 
 def z_generators(n: int, pairs: list[tuple[int, int]]) -> np.ndarray:

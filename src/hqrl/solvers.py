@@ -6,24 +6,17 @@ single closed tour is optimal for every vehicle count K.  The exact solver
 finds it by Held-Karp and re-scores it as a sequence cut into at most K
 per-vehicle segments, so the cost carries the rounding of a search over every
 permutation and split.  It is the normalization denominator for small
-instances; nearest neighbor takes over past 9 customers.
+instances; nearest neighbor takes over past 9 customers.  Both read their
+distances from env.distance_tables.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .env import VrpInstance, reset, route_cost, step, valid_action_mask
+from .env import VrpInstance, distance_tables, reset, route_cost, step, valid_action_mask
 
 BRUTE_FORCE_LIMIT = 9
-
-
-def _distances(instance: VrpInstance) -> tuple[list[float], list[list[float]]]:
-    diff = instance.customers - instance.depot
-    d0 = np.linalg.norm(diff, axis=1).tolist()
-    pair = instance.customers[:, None, :] - instance.customers[None, :, :]
-    dmat = np.linalg.norm(pair, axis=2).tolist()
-    return d0, dmat
 
 
 def brute_force_optimal(instance: VrpInstance) -> tuple[dict[int, list[int]], float]:
@@ -32,8 +25,9 @@ def brute_force_optimal(instance: VrpInstance) -> tuple[dict[int, list[int]], fl
     n, k = instance.n_customers, instance.n_vehicles
     if n > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force is capped at {BRUTE_FORCE_LIMIT} customers, got {n}")
-    d0, dmat = _distances(instance)
-    tour = _optimal_tour(n, np.array(d0), np.array(dmat))
+    dax = distance_tables(instance)[1]
+    tour = _optimal_tour(n, dax[0, 1:], dax[1:, 1:])
+    d0, dmat = dax[0, 1:].tolist(), dax[1:, 1:].tolist()
     cost = min(_split_cost(seq, k, d0, dmat) for seq in (tour, tour[::-1]))
     routes = {v: tour if v == 0 else [] for v in range(k)}
     return routes, float(cost)
@@ -96,20 +90,15 @@ def nearest_neighbor(instance: VrpInstance) -> tuple[dict[int, list[int]], float
     """Greedy construction; vehicles take turns claiming their nearest
     unvisited customer, ties broken toward the lowest customer index."""
     n, k = instance.n_customers, instance.n_vehicles
-    positions = [instance.depot.copy() for _ in range(k)]
-    visited = [False] * n
+    d1 = distance_tables(instance)[0][:, 1:]  # from [depot | customers] to each customer
+    where = [0] * k  # table rows: 0 the depot, c + 1 customer c
+    visited = np.zeros(n, dtype=bool)
     routes: dict[int, list[int]] = {v: [] for v in range(k)}
     for turn in range(n):
         v = turn % k
-        best, best_d = -1, float("inf")
-        for c in range(n):
-            if visited[c]:
-                continue
-            d = float(np.linalg.norm(positions[v] - instance.customers[c]))
-            if d < best_d:
-                best, best_d = c, d
+        best = int(np.where(visited, np.inf, d1[where[v]]).argmin())
         routes[v].append(best)
-        positions[v] = instance.customers[best]
+        where[v] = best + 1
         visited[best] = True
     return routes, route_cost(instance, routes)
 

@@ -15,12 +15,12 @@ import numpy as np
 
 from . import solvers
 from .env import (DISCOUNT, INVALID_PENALTY, VEHICLE_RULES, Trajectory, VrpInstance,
-                  discounted_returns, distance_tables, encode_state, generate_instance, reset,
-                  state_dim, table_step, write_atomic)
+                  discounted_returns, distance_tables, encode_state, generate_instance,
+                  json_array, reset, state_dim, table_step, write_atomic)
 from .policy import (N_LAYERS, N_QUBITS, ActionDistribution, AdamState, PolicyParams,
                      ValueParams, _compile, _reinforce_gradients, adam_init, apply_update,
-                     compile_policy, forward_step, init_policy_params, init_value_params,
-                     policy_circuit_for_size, sample_action)
+                     circuit_terms, compile_policy, forward_step, init_policy_params,
+                     init_value_params, policy_circuit_for_size, sample_action)
 from .sim import ZZHamiltonian, circuit_metrics
 from .warmstart import (MAX_ITERS, build_cost_hamiltonian, build_subgraph, export_warm_start,
                         optimize_angles)
@@ -197,14 +197,14 @@ def _run_episodes(ck: Checkpoint, instance: VrpInstance,
     rng = np.random.default_rng([config.seed, 1])
     params, vparams, opt = ck.params, ck.vparams, ck.opt
 
-    tables = distance_tables(instance)
+    tables, terms = distance_tables(instance), circuit_terms(h_policy)
     records: list[EpisodeRecord] = []
     for episode in range(config.episodes):
-        compiled = _compile(params, h_policy)
+        compiled = _compile(params, terms)
         traj, _, total, cost, forwards = _rollout(instance, params, tables, compiled[1], rng,
                                                   False, config.vehicle_rule, config.discount)
-        pg, vg, ploss, vloss = _reinforce_gradients(traj, forwards, params, vparams, h_policy,
-                                                    compiled, config.value_baseline)
+        pg, vg, ploss, vloss = _reinforce_gradients(traj, forwards, params, vparams, compiled,
+                                                    config.value_baseline)
         if not (np.isfinite(ploss) and np.isfinite(vloss)):
             raise RuntimeError(f"non-finite loss at episode {episode}: "
                                f"policy={ploss}, value={vloss}")
@@ -349,8 +349,8 @@ def scalability_sweep(sizes: list[int], config: RunConfig) -> list[ComparisonRow
     rows: list[ComparisonRow] = []
     for size, cfgs in zip(sizes, runs):
         for cfg in cfgs:
-            log, ck = train(cfg)
-            instance, h_policy = _problem(cfg)
+            instance, h_policy = _problem(cfg)  # train(cfg), keeping its instance
+            log, ck = _run_episodes(_init_checkpoint(cfg, h_policy), instance, h_policy)
             result = evaluate(ck, instance)
             metrics = circuit_metrics(policy_circuit_for_size(ck.params, h_policy)[0])
             rows.append(ComparisonRow(cfg.method, size, result.normalized_cost,
@@ -450,7 +450,7 @@ def _field(data, *path: str):
 def _array(data, *path: str) -> np.ndarray:
     value = _field(data, *path)
     try:
-        return np.array(value, dtype=float)
+        return json_array(value)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint field {'.'.join(path)} is not a numeric array: "
                          f"{exc}") from None

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .env import VrpInstance, write_atomic
+from .env import VrpInstance, distance_tables, write_atomic
 from .policy import N_QUBITS
 from .sim import ZZHamiltonian, rotation_layer, z_generators
 
@@ -50,13 +50,10 @@ def build_subgraph(instance: VrpInstance, n_qubits: int) -> Subgraph:
     if instance.n_customers < 1:
         raise ValueError("instance has no customers")
     n_sub = min(n_qubits, instance.n_customers)
-    depot_dist = np.linalg.norm(instance.customers - instance.depot, axis=1)
+    dax = distance_tables(instance)[1][1:]  # from each customer to [depot | customers]
     # stable sort keeps index order among exact ties
-    chosen = sorted(np.argsort(depot_dist, kind="stable")[:n_sub].tolist())
-
-    coords = instance.customers[chosen]
-    diff = coords[:, None, :] - coords[None, :, :]
-    weights = np.linalg.norm(diff, axis=2)
+    chosen = sorted(np.argsort(dax[:, 0], kind="stable")[:n_sub].tolist())
+    weights = dax[chosen][:, 1:][:, chosen]
     w_max = weights.max()
     if w_max > 0.0:
         weights = weights / w_max

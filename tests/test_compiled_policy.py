@@ -16,7 +16,7 @@ from hypothesis.extra.numpy import arrays
 
 from hqrl import training
 from hqrl.env import state_dim
-from hqrl.policy import (PolicyParams, _compile, _sweep, compile_policy,
+from hqrl.policy import (PolicyParams, _compile, _sweep, circuit_terms, compile_policy,
                          encode_observation, init_policy_params, init_value_params,
                          masked_softmax, policy_circuit_for_size, reinforce_gradients,
                          value_forward)
@@ -58,7 +58,7 @@ def _gate_by_gate_map(params, h):
 def _slot_table(data, params, h):
     """d<Z_q>/d(slot) for one state, shape (P, Q): the sweep driven by each unit
     readout weight in turn."""
-    compiled = _compile(params, h)
+    compiled = _compile(params, circuit_terms(h))
     states = ry_product_state(data[None])
     final = states @ compiled[1]
     columns = []
@@ -84,7 +84,7 @@ criterion_1 = example(rotation=np.full((N_LAYERS, N_QUBITS, 2), 0.3),
 @given(**policy_inputs)
 def test_compiled_maps_are_unitary(rotation, qaoa, terms, data):
     params, h = _params(rotation, qaoa), ZZHamiltonian(N_QUBITS, terms)
-    blocks, v, _ = _compile(params, h)
+    blocks, v, _ = _compile(params, circuit_terms(h))
     np.testing.assert_array_equal(v, compile_policy(params, h))
     np.testing.assert_allclose(v, _gate_by_gate_map(params, h), atol=1e-12)
     eye = np.eye(2**N_QUBITS)

@@ -288,6 +288,10 @@ def test_instance_from_json_rejects_bad_depot_shape():
         instance_from_json(_bad_instance(depot=[0.5, 0.5, 0.5]))
     with pytest.raises(ValueError, match="'depot'"):
         instance_from_json(_bad_instance(depot=[[0.5], [0.5, 0.1]]))
+    # np.array(..., dtype=float) parses a numeric string and a boolean
+    for bad in ("0.5", True):
+        with pytest.raises(ValueError, match="'depot' is not a coordinate array"):
+            instance_from_json(_bad_instance(depot=[bad, 0.5]))
 
 
 def test_instance_from_json_rejects_bad_customer_shape():
@@ -301,6 +305,11 @@ def test_instance_from_json_rejects_bad_customer_shape():
         instance_from_json(_bad_instance(customers=[[0.1, 0.2, 0.3]] * 4))
     with pytest.raises(ValueError, match="'customers' is not a coordinate array"):
         instance_from_json(_bad_instance(customers=[[0.1, 0.2]] * 3 + [[0.1]]))
+    for bad in (False, "0.25"):
+        data = _bad_instance()
+        data["customers"][2][1] = bad
+        with pytest.raises(ValueError, match="'customers' is not a coordinate array"):
+            instance_from_json(data)
 
 
 def test_instance_from_json_rejects_non_finite_coordinates():

@@ -19,9 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hqrl.env import VrpInstance, generate_instance, route_cost
-from hqrl.solvers import (BRUTE_FORCE_LIMIT, _distances, brute_force_optimal, nearest_neighbor,
-                          oracle_cost, random_policy_rollout)
+from hqrl.env import VrpInstance, distance_tables, generate_instance, route_cost
+from hqrl.solvers import (BRUTE_FORCE_LIMIT, brute_force_optimal, nearest_neighbor, oracle_cost,
+                          random_policy_rollout)
+from hqrl.warmstart import build_subgraph
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 
@@ -43,7 +44,8 @@ def enumerate_optimal(instance: VrpInstance) -> float:
 def permutation_search(instance: VrpInstance) -> float:
     """Every customer permutation, each cut by a DP into at most K segments."""
     n, k = instance.n_customers, instance.n_vehicles
-    d0, dmat = _distances(instance)
+    dax = distance_tables(instance)[1]
+    d0, dmat = dax[0, 1:].tolist(), dax[1:, 1:].tolist()
 
     best_cost = float("inf")
     for perm in permutations(range(n)):
@@ -199,6 +201,57 @@ def test_nearest_neighbor_deterministic_and_valid():
     assert routes_a == routes_b and cost_a == cost_b
     served = sorted(c for r in routes_a.values() for c in r)
     assert served == list(range(12))
+
+
+def per_pair_nearest_neighbor(instance: VrpInstance) -> dict[int, list[int]]:
+    """nearest_neighbor's routes with one np.linalg.norm call per vehicle-customer pair."""
+    n, k = instance.n_customers, instance.n_vehicles
+    positions = [instance.depot.copy() for _ in range(k)]
+    visited = [False] * n
+    routes: dict[int, list[int]] = {v: [] for v in range(k)}
+    for turn in range(n):
+        v = turn % k
+        best, best_d = -1, float("inf")
+        for c in range(n):
+            if visited[c]:
+                continue
+            d = float(np.linalg.norm(positions[v] - instance.customers[c]))
+            if d < best_d:
+                best, best_d = c, d
+        routes[v].append(best)
+        positions[v] = instance.customers[best]
+        visited[best] = True
+    return routes
+
+
+def per_pair_subgraph(instance: VrpInstance, n_qubits: int) -> tuple[list[int], np.ndarray]:
+    """build_subgraph's customers and weights from norms of the coordinate differences."""
+    depot_dist = np.linalg.norm(instance.customers - instance.depot, axis=1)
+    chosen = sorted(np.argsort(depot_dist, kind="stable")[:n_qubits].tolist())
+    coords = instance.customers[chosen]
+    weights = np.linalg.norm(coords[:, None, :] - coords[None, :, :], axis=2)
+    return chosen, weights / weights.max() if weights.max() > 0.0 else weights
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(n=st.integers(1, 25), data=st.data())
+def test_table_lookups_equal_per_pair_norms(n, data):
+    """nearest_neighbor and build_subgraph read env.distance_tables; they pick the
+    same customers and weights, bit for bit, as norms taken pair by pair."""
+    points = data.draw(arrays(np.float64, (n + 1, 2), elements=st.floats(0.0, 1.0)))
+    # coincident customers, and customers on the depot (point 0)
+    for src, dst in data.draw(st.lists(st.tuples(st.integers(0, n), st.integers(1, n)),
+                                       max_size=4)):
+        points[dst] = points[src]
+    instance = VrpInstance(n, data.draw(st.integers(1, min(n, 4))), points[0], points[1:], 0)
+    routes, cost = nearest_neighbor(instance)
+    assert routes == per_pair_nearest_neighbor(instance)
+    assert cost == route_cost(instance, routes)
+    for n_qubits in range(1, 5):
+        subgraph = build_subgraph(instance, n_qubits)
+        chosen, weights = per_pair_subgraph(instance, n_qubits)
+        assert subgraph.selected_customers == chosen
+        np.testing.assert_array_equal(subgraph.pairwise_weights, weights)
 
 
 def test_random_rollout_single_customer_deterministic():

@@ -6,6 +6,7 @@ import json
 import sys
 from collections import Counter
 from dataclasses import replace
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -250,7 +251,8 @@ def test_train_equals_the_loop_over_public_functions(method, rule):
     assert _dump(ck) == _dump(expected)
 
 
-def test_train_builds_the_instance_once_and_the_circuit_maps_once_per_episode(monkeypatch):
+def _counter(monkeypatch):
+    """A Counter and count(module, name), which makes module.name count its calls there."""
     calls = Counter()
 
     def count(module, name):
@@ -260,25 +262,50 @@ def test_train_builds_the_instance_once_and_the_circuit_maps_once_per_episode(mo
             calls[name] += 1
             return original(*args, **kwargs)
         monkeypatch.setattr(module, name, counted)
-
-    # every module that binds generate_instance, and where the policy compiles its circuit
+    # every module that binds generate_instance
     for module in [m for key, m in sys.modules.items() if key.split(".")[0] == "hqrl"]:
         if getattr(module, "generate_instance", None) is generate_instance:
             count(module, "generate_instance")
+    return calls, count
+
+
+def test_train_builds_the_instance_once_and_the_circuit_maps_once_per_episode(monkeypatch):
+    calls, count = _counter(monkeypatch)
+    # where the policy compiles its circuit, and builds the circuit terms
     for name in ("_compile", "forward_step"):
         count(training, name)
         count(policy, name)
-    train(replace(TINY, episodes=7))
+    count(policy, "z_generators")
+    builds = Counter()  # rotation_layer's gather index, built per width through a fresh cache
+    build = sim._rotation_index.__wrapped__
+    monkeypatch.setattr(sim, "_rotation_index",
+                        lru_cache(lambda n: builds.update([n]) or build(n)))
+    _, ck = train(replace(TINY, n_customers=3, episodes=7))
     # one forward pass per step: the gradient pass reads the rollout's
-    assert calls == {"generate_instance": 1, "_compile": 7,
-                     "forward_step": 7 * TINY.n_customers}
+    assert calls == {"generate_instance": 1, "_compile": 7, "z_generators": 1,
+                     "forward_step": 7 * 3}
+    calls.clear()
+    finetune(ck, replace(TINY, n_customers=5, episodes=3))
+    assert calls == {"generate_instance": 1, "_compile": 3, "z_generators": 1,
+                     "forward_step": 3 * 5}
+    # the warm start's three-qubit subgraph and the policy register, once each
+    assert builds == {3: 1, N_QUBITS: 1}
+
+
+def test_scalability_sweep_generates_each_runs_instance_twice(monkeypatch):
+    # once for training, whose instance and Hamiltonian the run's evaluation and
+    # circuit metrics reuse, and once inside evaluate, which rebuilds the Hamiltonian
+    calls, _ = _counter(monkeypatch)
+    sizes = [2, 3]
+    scalability_sweep(sizes, replace(TINY, episodes=2))
+    assert calls == {"generate_instance": 2 * len(TRAINED_METHODS) * len(sizes)}
 
 
 def _recorded_rollout():
     """A rollout of TINY's instance under random parameters, with its forward passes."""
     instance, h = training._problem(TINY)
     params = _random_params(TINY.n_customers, TINY.n_vehicles, 4)
-    compiled = policy._compile(params, h)
+    compiled = policy._compile(params, policy.circuit_terms(h))
     out = training._rollout(instance, params, training.distance_tables(instance), compiled[1],
                             np.random.default_rng(5), False, TINY.vehicle_rule, TINY.discount)
     return out, params, h, compiled
@@ -299,7 +326,7 @@ def test_public_gradients_equal_the_gradients_from_the_rollouts_records(value_ba
     vparams = init_value_params(state_dim(TINY.n_customers, TINY.n_vehicles),
                                 np.random.default_rng(6))
     public = reinforce_gradients(traj, params, vparams, h, value_baseline)
-    recorded = policy._reinforce_gradients(traj, forwards, params, vparams, h, compiled,
+    recorded = policy._reinforce_gradients(traj, forwards, params, vparams, compiled,
                                            value_baseline)
     for got, expected in zip(public[:2], recorded[:2]):
         assert got.keys() == expected.keys()
@@ -478,6 +505,12 @@ def test_checkpoint_from_json_rejects_bad_arrays():
         (("optimizer_state", "m", "rotation_angles", 0, 1, 0), [0.1, 0.2],
          "optimizer_state.m.rotation_angles is not a numeric array"),
         (("qaoa_angles", 0, 0), "abc", "qaoa_angles is not a numeric array"),
+        # np.array(..., dtype=float) parses these, and a bool among floats stays float64
+        (("qaoa_angles", 0, 0), "0.1", "qaoa_angles is not a numeric array"),
+        (("qaoa_angles", 0, 0), True, "qaoa_angles is not a numeric array"),
+        (("value_params", "b2"), "0.25", "value_params.b2 is not a numeric array"),
+        (("optimizer_state", "v", "head_b", 1), False,
+         "optimizer_state.v.head_b is not a numeric array"),
     ]
     for path, value, field in cases:
         with pytest.raises(ValueError, match=field):
@@ -584,7 +617,7 @@ def test_peak_memory_estimate():
         ck = Checkpoint(config, init_policy_params(state_dim(n, k), n, np.random.default_rng(0)),
                         init_value_params(state_dim(n, k), np.random.default_rng(1)), None, 0)
         traj, _, _, _ = rollout(instance, ck.params, h, np.random.default_rng(2))
-        blocks, v, _ = policy._compile(ck.params, h)
+        blocks, v, _ = policy._compile(ck.params, policy.circuit_terms(h))
         data = np.pi * np.tanh(traj.states @ ck.params.encoder_w.T + ck.params.encoder_b)
         states = ry_product_state(data)
         shifted = ry_product_state(data[:, None, :] + np.pi * np.eye(N_QUBITS))
