@@ -5,7 +5,7 @@ structure of the comparison, sweep, and ablation tables."""
 import json
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import lru_cache
 
 import numpy as np
@@ -328,6 +328,8 @@ def test_public_gradients_equal_the_gradients_from_the_rollouts_records(value_ba
     public = reinforce_gradients(traj, params, vparams, h, value_baseline)
     recorded = policy._reinforce_gradients(traj, forwards, params, vparams, compiled,
                                            value_baseline)
+    # Adam's moments keep this order, and checkpoint.json writes them in it
+    assert list(recorded[0]) == [f.name for f in fields(PolicyParams)]
     for got, expected in zip(public[:2], recorded[:2]):
         assert got.keys() == expected.keys()
         for name in got:
