@@ -2,13 +2,14 @@
 
 Every command of the matrix runs in process through main(argv) into one
 directory. Instances, warm starts, routes, SVGs and CSV tables are compared by
-sha256. metrics.csv and checkpoint.json are compared by value: episodes, route
-costs, total rewards, configs and counters with ==, losses, parameters and Adam
-moments within an absolute 1e-9.
+sha256. metrics.csv and checkpoint.json are compared by value, every entry with
+==, so a failure names the key that moved and by how much.
 
-The manifest records the numpy version and platform it was made on. A change
-meant to move rounding regenerates it in the same commit and lists every
-changed entry with its largest difference in CHANGES.md. To regenerate:
+The manifest records the numpy and Python versions and the platform it was
+made on. A change meant to move rounding regenerates it in the same commit and
+lists every changed entry with its largest difference in CHANGES.md. To
+regenerate, printing each entry that moves against the committed manifest
+before writing:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -28,10 +29,6 @@ import numpy as np
 from hqrl.cli import main
 
 MANIFEST = Path(__file__).parent / "golden" / "manifest.json"
-TOLERANCE = 1e-9
-# metrics.csv columns and checkpoint.json keys compared with ==; the rest within TOLERANCE
-EXACT_COLUMNS = ("episode", "total_reward", "route_cost")
-EXACT_KEYS = ("config", "episode_count", "optimizer_state.step")
 
 
 def matrix() -> list[str]:
@@ -102,23 +99,47 @@ def describe(root: Path) -> dict:
     return files
 
 
+def _moved_by(actual, expected) -> str:
+    """How a value entry moved: the largest absolute difference for numbers and
+    arrays of one shape, else both values."""
+    try:
+        a, e = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
+    except (TypeError, ValueError):
+        return f"is {actual!r}, manifest {expected!r}"
+    if a.shape != e.shape:
+        return f"has shape {a.shape}, manifest {e.shape}"
+    return f"differs by {np.max(np.abs(a - e)):.3g}"
+
+
 def _diff_values(rel: str, want: dict, got: dict) -> list[str]:
     flat_want, flat_got = dict(_flatten(want)), dict(_flatten(got))
     if flat_want.keys() != flat_got.keys():
         return [f"{rel}: keys {sorted(flat_want.keys() ^ flat_got.keys())} differ"]
-    problems = []
-    for key, expected in flat_want.items():
-        actual = flat_got[key]
-        if key in EXACT_COLUMNS or key.startswith(EXACT_KEYS):
-            if actual != expected:
-                problems.append(f"{rel}: {key} is {actual!r}, manifest {expected!r}")
-            continue
-        a, e = np.asarray(actual, dtype=float), np.asarray(expected, dtype=float)
-        if a.shape != e.shape:
-            problems.append(f"{rel}: {key} has shape {a.shape}, manifest {e.shape}")
-        elif a.size and np.max(np.abs(a - e)) > TOLERANCE:
-            problems.append(f"{rel}: {key} differs by {np.max(np.abs(a - e)):.3g}")
+    return [f"{rel}: {key} {_moved_by(flat_got[key], expected)}"
+            for key, expected in flat_want.items() if flat_got[key] != expected]
+
+
+def differences(want: dict, got: dict) -> list[str]:
+    """One line per artifact entry of got that is not == to want's."""
+    problems = [f"missing {rel}" for rel in sorted(want.keys() - got.keys())]
+    problems += [f"unexpected {rel}" for rel in sorted(got.keys() - want.keys())]
+    for rel in sorted(want.keys() & got.keys()):
+        if "values" in want[rel] and "values" in got[rel]:
+            problems += _diff_values(rel, want[rel]["values"], got[rel]["values"])
+        elif got[rel] != want[rel]:
+            problems.append(f"{rel}: sha256 differs")
     return problems
+
+
+def made_on(manifest: dict) -> str:
+    """Versions that differ from the manifest's first: they can move rounding.  The
+    platform string is for information; its kernel part differs between hosts that
+    write identical bytes."""
+    here = {"numpy": np.__version__, "python": platform.python_version()}
+    lines = [f"manifest made with {name} {manifest[name]}, this run has {version}"
+             for name, version in here.items() if manifest[name] != version]
+    return "\n".join(lines + [f"manifest platform {manifest['platform']}, "
+                               f"this run {platform.platform()}"])
 
 
 def test_cli_artifact_matrix_matches_the_manifest(tmp_path, monkeypatch):
@@ -126,19 +147,8 @@ def test_cli_artifact_matrix_matches_the_manifest(tmp_path, monkeypatch):
     manifest = json.loads(MANIFEST.read_text())
     assert manifest["commands"] == matrix(), "the matrix changed; regenerate the manifest"
     run_matrix(tmp_path)
-    got = describe(tmp_path)
-    want = manifest["files"]
-    problems = [f"missing {rel}" for rel in sorted(want.keys() - got.keys())]
-    problems += [f"unexpected {rel}" for rel in sorted(got.keys() - want.keys())]
-    for rel in sorted(want.keys() & got.keys()):
-        if "sha256" in want[rel]:
-            if got[rel] != want[rel]:
-                problems.append(f"{rel}: sha256 differs")
-        else:
-            problems += _diff_values(rel, want[rel]["values"], got[rel]["values"])
-    made_on = (f"manifest made with numpy {manifest['numpy']} on {manifest['platform']}; "
-               f"this run numpy {np.__version__} on {platform.platform()}")
-    assert not problems, made_on + "\n" + "\n".join(problems)
+    problems = differences(manifest["files"], describe(tmp_path))
+    assert not problems, made_on(manifest) + "\n" + "\n".join(problems)
 
 
 if __name__ == "__main__":
@@ -146,6 +156,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         run_matrix(Path(tmp))
         files = describe(Path(tmp))
+    if MANIFEST.exists():
+        moved = differences(json.loads(MANIFEST.read_text())["files"], files)
+        print("\n".join(moved) or "no entry moves", file=sys.stderr)
     header = {"numpy": np.__version__, "python": platform.python_version(),
               "platform": platform.platform(), "commands": matrix()}
     # one line per artifact, so a regenerated manifest diffs file by file
