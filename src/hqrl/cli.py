@@ -42,8 +42,12 @@ def _resolve_config(args: argparse.Namespace, base: RunConfig | None = None) -> 
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
-    if "seed" not in data and os.environ.get("HQRL_SEED"):
-        data["seed"] = int(os.environ["HQRL_SEED"])
+    env_seed = os.environ.get("HQRL_SEED")
+    if "seed" not in data and env_seed:
+        try:
+            data["seed"] = int(env_seed)
+        except ValueError:
+            raise ValueError(f"HQRL_SEED={env_seed!r} is not an integer") from None
     return config_from_dict(data)
 
 

@@ -66,6 +66,8 @@ class RunConfig:
                              f"[1, n_customers={self.n_customers}]")
         if self.episodes < 0:
             raise ValueError("episodes must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be >= 0")
         if not 0.0 < self.discount <= 1.0:
             raise ValueError(f"discount={self.discount} is outside (0, 1]")
         for key in ("lr_quantum", "lr_classical"):

@@ -269,12 +269,23 @@ def _last_error(capsys) -> dict:
 def test_bad_config_types_and_vanilla_warm_start_exit_3_before_work(tmp_path, capsys,
                                                                     monkeypatch):
     monkeypatch.delenv("HQRL_SEED", raising=False)
-    for key, value in (("warm_start", "no"), ("episodes", 2.5), ("seed", True)):
+    for key, value in (("warm_start", "no"), ("episodes", 2.5), ("seed", True), ("seed", -1)):
         out = tmp_path / f"run_{key}"
         config = _tiny_config(tmp_path, **{key: value})
         assert main(["train", "--config", str(config), "--out", str(out)]) == 3
         assert key in _last_error(capsys)["detail"]
         assert not out.exists()
+    # a bad seed used to pass the config and fail inside numpy, naming no field
+    out = tmp_path / "instance"
+    assert main(["gen-instance", "--seed", "-5", "--out", str(out)]) == 3
+    assert "seed=-5 must be >= 0" in _last_error(capsys)["detail"]
+    for env_seed, detail in (("-3", "seed=-3 must be >= 0"),
+                             ("abc", "HQRL_SEED='abc' is not an integer")):
+        monkeypatch.setenv("HQRL_SEED", env_seed)
+        assert main(["gen-instance", "--out", str(out)]) == 3
+        assert detail in _last_error(capsys)["detail"]
+    monkeypatch.delenv("HQRL_SEED")
+    assert not out.exists()
 
     vanilla = ["train", "--config", str(_tiny_config(tmp_path)), "--method", "vanilla-qrl"]
     assert main([*vanilla, "--out", str(tmp_path / "vanilla")]) == 3

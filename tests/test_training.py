@@ -56,6 +56,9 @@ def test_config_validation():
                 RunConfig(**{key: lr})
     with pytest.raises(ValueError, match="warmstart_max_iters"):
         RunConfig(warmstart_max_iters=0)
+    with pytest.raises(ValueError, match="seed=-1 must be >= 0"):
+        RunConfig(seed=-1)
+    assert RunConfig(seed=0).seed == 0
     for n, k in ((4, 0), (4, 5), (0, 1)):
         with pytest.raises(ValueError, match="n_vehicles"):
             RunConfig(n_customers=n, n_vehicles=k)
