@@ -7,6 +7,10 @@ negative reward.  Picking an already-served customer costs a flat penalty of
 -10 and moves nothing.  When the last customer is served, the summed
 return-to-depot distances are charged on that final step, so the undiscounted
 episode reward of a penalty-free episode is exactly minus the route cost.
+
+Vehicles are held as distance_tables rows (0 the depot, c + 1 customer c), and
+table_step is the one rule that picks the serving vehicle and charges the leg
+and the depot return, for step and for training rollouts alike.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ class VrpInstance:
 
 @dataclass
 class EnvState:
-    vehicle_positions: np.ndarray  # (K, 2)
+    where: np.ndarray              # (K,) int: distance_tables row, 0 the depot, c + 1 customer c
     visited: np.ndarray            # (N,) bool
     step_count: int
     done: bool
@@ -72,8 +76,8 @@ def generate_instance(n_customers: int, n_vehicles: int, seed: int) -> VrpInstan
 
 
 def reset(instance: VrpInstance) -> EnvState:
-    positions = np.tile(instance.depot, (instance.n_vehicles, 1))
-    return EnvState(positions, np.zeros(instance.n_customers, dtype=bool), 0, False)
+    return EnvState(np.zeros(instance.n_vehicles, dtype=int),
+                    np.zeros(instance.n_customers, dtype=bool), 0, False)
 
 
 def state_dim(n_customers: int, n_vehicles: int) -> int:
@@ -82,8 +86,9 @@ def state_dim(n_customers: int, n_vehicles: int) -> int:
 
 def encode_state(instance: VrpInstance, state: EnvState) -> np.ndarray:
     """Flat observation [vehicle coords | customer coords | visited flags]."""
+    points = np.vstack([instance.depot, instance.customers])
     return np.concatenate([
-        state.vehicle_positions.ravel(),
+        points[state.where].ravel(),
         instance.customers.ravel(),
         state.visited.astype(float),
     ])
@@ -96,19 +101,6 @@ def valid_action_mask(state: EnvState) -> np.ndarray:
     return ~state.visited
 
 
-def select_vehicle(state: EnvState, instance: VrpInstance, city: int, rule: str = "nearest") -> int:
-    """Which vehicle serves a city: closest one (ties to the lowest index),
-    or step_count mod K under the round-robin rule."""
-    if state.visited[city]:
-        raise ValueError(f"city {city} is already visited")
-    if rule == "round-robin":
-        return state.step_count % instance.n_vehicles
-    if rule != "nearest":
-        raise ValueError(f"unknown vehicle rule {rule!r}")
-    dists = np.linalg.norm(state.vehicle_positions - instance.customers[city], axis=1)
-    return int(np.argmin(dists))
-
-
 def step(instance: VrpInstance, state: EnvState, action: int, rule: str = "nearest",
          penalty: float = INVALID_PENALTY) -> StepOutcome:
     if state.done:
@@ -116,33 +108,21 @@ def step(instance: VrpInstance, state: EnvState, action: int, rule: str = "neare
     if not 0 <= action < instance.n_customers:
         raise ValueError(f"action {action} out of range")
 
-    if state.visited[action]:
+    where, visited = state.where.copy(), state.visited.copy()
+    if visited[action]:
         # No movement; the step is burned and the flat penalty applies.
-        nxt = EnvState(state.vehicle_positions.copy(), state.visited.copy(),
-                       state.step_count + 1, False)
-        return StepOutcome(nxt, -penalty, False, -1)
-
-    k = select_vehicle(state, instance, action, rule)
-    target = instance.customers[action]
-    travel = float(np.linalg.norm(state.vehicle_positions[k] - target))
-
-    positions = state.vehicle_positions.copy()
-    positions[k] = target
-    visited = state.visited.copy()
+        return StepOutcome(EnvState(where, visited, state.step_count + 1, False), -penalty,
+                           False, -1)
     visited[action] = True
     done = bool(visited.all())
-
-    reward = -travel
-    if done:
-        reward -= float(np.linalg.norm(positions - instance.depot, axis=1).sum())
-    nxt = EnvState(positions, visited, state.step_count + 1, done)
-    return StepOutcome(nxt, reward, done, k)
+    k, reward = table_step(distance_tables(instance), where, action, state.step_count, done, rule)
+    return StepOutcome(EnvState(where, visited, state.step_count + 1, done), reward, done, k)
 
 
 def distance_tables(instance: VrpInstance) -> tuple[np.ndarray, np.ndarray]:
-    """(N+1, N+1) distances over [depot | customers], bit-equal to step's two norm
-    forms: d1 to the 1-D norm of a leg, dax to the axis=1 norm of select_vehicle
-    and the depot return."""
+    """(N+1, N+1) distances over [depot | customers], bit-equal to two per-pair norm
+    forms: d1 to the 1-D norm of a leg, dax to the axis=1 norm over the vehicles
+    that picks the nearest one and sums the depot return."""
     pts = np.vstack([instance.depot, instance.customers])
     diff = pts[:, None] - pts[None]
     return np.sqrt(np.vecdot(diff, diff)), np.linalg.norm(diff, axis=2)
@@ -150,7 +130,7 @@ def distance_tables(instance: VrpInstance) -> tuple[np.ndarray, np.ndarray]:
 
 def table_step(tables: tuple[np.ndarray, np.ndarray], where: np.ndarray, action: int,
                step_count: int, done: bool, rule: str = "nearest") -> tuple[int, float]:
-    """step of an unvisited city on distance_tables, vehicles held as table indices
+    """The move to an unvisited city on distance_tables, vehicles held as table rows
     (0 the depot, c + 1 customer c) and moved in place: (vehicle, reward)."""
     d1, dax = tables
     if rule not in VEHICLE_RULES:

@@ -1,11 +1,15 @@
-"""Gate-by-gate reference simulators, the oracles the block kernel is tested against.
+"""Reference implementations the fast paths are tested against.
 
-Each function here applies one gate at a time through hqrl.sim's gate kernel
-`_apply` on a StateVector, copying and re-validating the state as it goes.
-Training and the warm start never call them: the policy and the QAOA warm
-start run on 16x16 blocks (`rotation_layer`, `z_generators`).  The tests
+The simulator functions apply one gate at a time through hqrl.sim's gate
+kernel `_apply` on a StateVector, copying and re-validating the state as it
+goes.  Training and the warm start never call them: the policy and the QAOA
+warm start run on 16x16 blocks (`rotation_layer`, `z_generators`).  The tests
 check those blocks against these functions, and the per-slot parameter-shift
 rule here is the reference for the policy's backward sweep.
+
+`norm_step` is the environment's transition on vehicle coordinates, each
+distance a per-pair np.linalg.norm: the reference for env.step and
+env.table_step, which read the distances from env.distance_tables.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from hqrl.env import INVALID_PENALTY, VrpInstance
 from hqrl.sim import (GateOp, StateVector, ZZHamiltonian, _apply, _check_gate, _check_normalized,
                       _check_width, _pair_parity, _z_sign_matrix, init_plus_state, z_readouts)
 
@@ -138,3 +143,29 @@ def qaoa_expectation(hamiltonian: ZZHamiltonian, gammas: np.ndarray, betas: np.n
         state = apply_cost_layer(state, hamiltonian, g)
         state = apply_mixer_layer(state, b)
     return expectation_zz(state, hamiltonian)
+
+
+def norm_step(instance: VrpInstance, positions: np.ndarray, visited: np.ndarray, step_count: int,
+              action: int, rule: str = "nearest", penalty: float = INVALID_PENALTY):
+    """One transition from vehicle coordinates (K, 2) and the visited flags:
+    (positions, visited, reward, done, vehicle), with vehicle -1 on the penalty
+    step of an already-served city, which moves nothing.  The nearest vehicle
+    is the argmin of the axis=1 norm (ties to the lowest index), a leg is the
+    1-D norm, and the last step adds the axis=1 norms back to the depot."""
+    if visited[action]:
+        return positions.copy(), visited.copy(), -penalty, False, -1
+    if rule == "round-robin":
+        k = step_count % instance.n_vehicles
+    elif rule == "nearest":
+        k = int(np.argmin(np.linalg.norm(positions - instance.customers[action], axis=1)))
+    else:
+        raise ValueError(f"unknown vehicle rule {rule!r}")
+    target = instance.customers[action]
+    reward = -float(np.linalg.norm(positions[k] - target))
+    positions, visited = positions.copy(), visited.copy()
+    positions[k] = target
+    visited[action] = True
+    done = bool(visited.all())
+    if done:
+        reward -= float(np.linalg.norm(positions - instance.depot, axis=1).sum())
+    return positions, visited, reward, done, k

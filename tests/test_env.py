@@ -2,7 +2,9 @@
 
 Geometry cases use hand-placed coordinates so expected distances are exact;
 the corner-tour optimum is verified against an exhaustive permutation oracle
-written here rather than trusted from any solver.
+written here rather than trusted from any solver.  The transition is checked
+against tests/oracles.py's norm_step, which moves vehicle coordinates and
+measures every distance with np.linalg.norm.
 """
 
 from itertools import permutations, product
@@ -15,8 +17,14 @@ from hypothesis.extra.numpy import arrays
 
 from hqrl.env import (VEHICLE_RULES, EnvState, VrpInstance, discounted_returns, distance_tables,
                       encode_state, generate_instance, instance_from_json, instance_to_json,
-                      load_instance, reset, route_cost, save_instance, select_vehicle, state_dim,
-                      step, table_step, valid_action_mask)
+                      load_instance, reset, route_cost, save_instance, state_dim, step, table_step,
+                      valid_action_mask)
+from oracles import norm_step
+
+
+def _vehicle_coords(instance: VrpInstance, state: EnvState) -> np.ndarray:
+    """The (K, 2) vehicle coordinates at the head of the observation."""
+    return encode_state(instance, state)[:2 * instance.n_vehicles].reshape(-1, 2)
 
 
 def _line_instance(depot, customers, n_vehicles=1, seed=0) -> VrpInstance:
@@ -53,9 +61,8 @@ def test_generate_instance_validation():
 def test_reset_state():
     instance = generate_instance(8, 2, 7)
     state = reset(instance)
-    assert state.vehicle_positions.shape == (2, 2)
-    np.testing.assert_array_equal(state.vehicle_positions[0], instance.depot)
-    np.testing.assert_array_equal(state.vehicle_positions[1], instance.depot)
+    assert state.where.tolist() == [0, 0]  # both vehicles on the depot's table row
+    np.testing.assert_array_equal(_vehicle_coords(instance, state), [instance.depot] * 2)
     assert not state.visited.any() and state.step_count == 0 and not state.done
     assert valid_action_mask(state).all()
 
@@ -91,40 +98,38 @@ def test_valid_action_mask_transitions():
         valid_action_mask(state)
 
 
-def test_select_vehicle_rules():
+def test_step_vehicle_rules():
     instance = _line_instance([0.0, 0.0], [[1.0, 0.0], [0.2, 0.0]], n_vehicles=1)
-    state = reset(instance)
-    assert select_vehicle(state, instance, 0) == 0
+    assert step(instance, reset(instance), 0).vehicle == 0
 
     two = _line_instance([0.5, 0.5], [[0.1, 0.5], [0.9, 0.5]], n_vehicles=2)
-    state = reset(two)
-    state = step(two, state, 0).state  # nearest vehicle 0 moves to the left city
-    assert select_vehicle(state, two, 1) == 1  # vehicle 1 still at depot, nearer to the right
+    state = step(two, reset(two), 0).state  # nearest vehicle 0 moves to the left city
+    assert step(two, state, 1).vehicle == 1  # vehicle 1 still at depot, nearer to the right
 
-    positions = np.array([[0.9, 0.5], [0.9, 0.5]])
-    tied = EnvState(positions, np.zeros(2, dtype=bool), 0, False)
-    assert select_vehicle(tied, two, 1) == 0  # exact tie goes to the lowest index
+    # customers 0 and 1 share a point; a vehicle stands on each
+    three = _line_instance([0.5, 0.5], [[0.9, 0.5], [0.9, 0.5], [0.1, 0.5]], n_vehicles=2)
+    tied = EnvState(np.array([1, 2]), np.array([True, True, False]), 2, False)
+    assert step(three, tied, 2).vehicle == 0  # exact tie goes to the lowest index
 
-    visited_state = step(two, reset(two), 0).state
-    with pytest.raises(ValueError):
-        select_vehicle(visited_state, two, 0)
-
-    rr = EnvState(np.array([[0.5, 0.5], [0.5, 0.5]]), np.zeros(2, dtype=bool), 3, False)
-    assert select_vehicle(rr, two, 0, rule="round-robin") == 1
-    with pytest.raises(ValueError):
-        select_vehicle(rr, two, 0, rule="zigzag")
+    rr = EnvState(np.zeros(2, dtype=int), np.zeros(2, dtype=bool), 3, False)
+    assert step(two, rr, 0, rule="round-robin").vehicle == 1  # step_count 3 mod K=2
+    with pytest.raises(ValueError, match="unknown vehicle rule 'zigzag'"):
+        step(two, rr, 0, rule="zigzag")
 
 
 def test_step_rewards():
     instance = _line_instance([0.0, 0.0], [[0.3, 0.4], [0.6, 0.8]])
-    first = step(instance, reset(instance), 0)
+    start = reset(instance)
+    first = step(instance, start, 0)
     assert first.reward == pytest.approx(-0.5)
     assert not first.done
+    assert start.where.tolist() == [0] and not start.visited.any()  # the input is not moved
 
     again = step(instance, first.state, 0)
     assert again.reward == pytest.approx(-10.0)
     assert not again.done
-    np.testing.assert_array_equal(again.state.vehicle_positions, first.state.vehicle_positions)
+    assert again.vehicle == -1
+    np.testing.assert_array_equal(again.state.where, first.state.where)
     np.testing.assert_array_equal(again.state.visited, first.state.visited)
     assert again.state.step_count == first.state.step_count + 1
 
@@ -222,8 +227,8 @@ def test_reward_telescopes_to_route_cost():
         total = 0.0
         while not state.done:
             action = int(rng.choice(np.flatnonzero(valid_action_mask(state))))
-            routes[select_vehicle(state, instance, action)].append(action)
             outcome = step(instance, state, action)
+            routes[outcome.vehicle].append(action)
             total += outcome.reward
             state = outcome.state
         assert -total == pytest.approx(route_cost(instance, routes), abs=1e-9)
@@ -231,16 +236,19 @@ def test_reward_telescopes_to_route_cost():
 
 def test_step_reports_the_vehicle_that_served_the_city():
     rng = np.random.default_rng(33)
-    for rule in ("nearest", "round-robin"):
+    for rule in VEHICLE_RULES:
         for seed in range(10):
             instance = generate_instance(7, 3, seed)
             state = reset(instance)
             while not state.done:
                 action = int(rng.choice(np.flatnonzero(valid_action_mask(state))))
-                expected = select_vehicle(state, instance, action, rule)
+                coords = _vehicle_coords(instance, state)
+                gaps = np.linalg.norm(coords - instance.customers[action], axis=1)
                 outcome = step(instance, state, action, rule)
+                expected = state.step_count % 3 if rule == "round-robin" else int(gaps.argmin())
                 assert outcome.vehicle == expected
-                np.testing.assert_array_equal(outcome.state.vehicle_positions[expected],
+                assert outcome.state.where[expected] == action + 1
+                np.testing.assert_array_equal(_vehicle_coords(instance, outcome.state)[expected],
                                               instance.customers[action])
                 state = outcome.state
     instance = generate_instance(4, 2, 1)
@@ -354,9 +362,9 @@ def _with_coincident_points(instance: VrpInstance, rng) -> VrpInstance:
 
 
 def test_distance_tables_equal_both_per_pair_norm_forms():
-    """d1 is the 1-D norm step measures a leg with, dax the axis=1 norm of select_vehicle
-    and the depot return, entry by entry; the two forms differ in the last bit for
-    some pairs, so neither table can stand in for the other."""
+    """d1 is the 1-D norm norm_step measures a leg with, dax the axis=1 norm it picks the
+    nearest vehicle and sums the depot return with, entry by entry; the two forms differ
+    in the last bit for some pairs, so neither table can stand in for the other."""
     rng = np.random.default_rng(5)
     forms_differ = False
     for n in range(1, 26):
@@ -373,27 +381,43 @@ def test_distance_tables_equal_both_per_pair_norm_forms():
     assert forms_differ
 
 
-def test_table_step_moves_as_step():
-    """Vehicle, reward and positions equal env.step's at every step, for both rules,
-    coincident points, and all vehicles at the depot, where the nearest-vehicle
-    tie goes to the lowest index as np.argmin breaks it."""
+def test_step_and_table_step_equal_the_norm_oracle():
+    """Vehicle, reward, done and vehicle coordinates of env.step and table_step equal
+    norm_step's at every step, for N = 1-25, K = 1-4, both rules, coincident points,
+    one penalty step per episode of N >= 2 (step only: table_step moves to unvisited
+    cities), and all vehicles at the depot, where the nearest-vehicle tie goes to the
+    lowest index as np.argmin breaks it."""
     rng = np.random.default_rng(6)
     for n in range(1, 26):
-        for k in sorted({1, min(n, 2), min(n, 3)}):
+        for k in sorted({min(n, k) for k in (1, 2, 3, 4)}):
             plain = generate_instance(n, k, 2000 + n)
             for instance, rule in product((plain, _with_coincident_points(plain, rng)),
                                           VEHICLE_RULES):
                 tables = distance_tables(instance)
                 pts = np.vstack([instance.depot, instance.customers])
                 state, where = reset(instance), np.zeros(k, dtype=int)
-                for t, action in enumerate(rng.permutation(n).tolist()):
+                positions, visited = np.tile(instance.depot, (k, 1)), np.zeros(n, dtype=bool)
+                actions = rng.permutation(n).tolist()
+                if n > 1:  # repeat a served city before the last step
+                    at = int(rng.integers(1, n))
+                    actions.insert(at, actions[rng.integers(0, at)])
+                for action in actions:
+                    t = state.step_count
+                    positions, visited, reward, done, vehicle = norm_step(
+                        instance, positions, visited, t, action, rule)
                     outcome = step(instance, state, action, rule)
-                    vehicle, reward = table_step(tables, where, action, t, outcome.done, rule)
+                    assert ((outcome.vehicle, outcome.reward, outcome.done)
+                            == (vehicle, reward, done))
+                    assert (_vehicle_coords(instance, outcome.state).tobytes()
+                            == positions.tobytes())
+                    if vehicle >= 0:
+                        moved = table_step(tables, where, action, t, done, rule)
+                        assert moved == (vehicle, reward)
+                        np.testing.assert_array_equal(pts[where], positions)
                     if t == 0 and rule == "nearest":
                         assert vehicle == 0  # every vehicle is at the depot
-                    assert (vehicle, reward) == (outcome.vehicle, outcome.reward)
-                    np.testing.assert_array_equal(pts[where], outcome.state.vehicle_positions)
                     state = outcome.state
+                assert state.done and state.step_count == len(actions)
     with pytest.raises(ValueError, match="unknown vehicle rule"):
         table_step(distance_tables(plain), np.zeros(k, dtype=int), 0, 0, False, "farthest")
 

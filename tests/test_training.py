@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from hqrl import policy, sim, training
 from hqrl.env import (VEHICLE_RULES, encode_state, generate_instance, reset, route_cost,
-                      select_vehicle, state_dim, step, valid_action_mask)
+                      state_dim, step, valid_action_mask)
 from hqrl.policy import (ENCODER_SCALE, ENCODER_SEED, N_LAYERS, N_QUBITS, PolicyParams,
                          action_codes, apply_update, init_policy_params, init_value_params,
                          reinforce_gradients)
@@ -202,8 +202,8 @@ def test_rollout_replays_through_the_environment(shape, instance_seed, rule, par
     for obs, action, reward in zip(traj.states, traj.actions.tolist(), traj.rewards.tolist()):
         np.testing.assert_array_equal(obs, encode_state(instance, state))
         assert valid_action_mask(state)[action]
-        replayed[select_vehicle(state, instance, action, rule)].append(action)
         outcome = step(instance, state, action, rule)
+        replayed[outcome.vehicle].append(action)
         assert outcome.reward == reward
         state = outcome.state
     assert state.done and len(traj.actions) == n
